@@ -9,7 +9,7 @@ from .corpus import Corpus, CorpusStats, Sentence, Token, read_vertical, stats, 
 from .errors import ConfigError, DataError, FormatError, MorphtagError, SchemaError
 from .evaluation import (EvalReport, audit_lexicon_exhaustiveness, chi_squared,
                          confusion_pairs, evaluate)
-from .features import FeatureConfig, PartialContext, extract
+from .features import FeatureConfig
 from .lexicon import Lexicon, LexiconEntry, TagClass, ambiguity_stats, load_lexicon
 from .lemmatizer import (LemmaRule, LemmaRuleSet, generate_rules, lemma_impact,
                          lemmatize)
@@ -27,7 +27,7 @@ __all__ = [
     "write_vertical", "ConfigError", "DataError", "FormatError",
     "MorphtagError", "SchemaError", "EvalReport",
     "audit_lexicon_exhaustiveness", "chi_squared", "confusion_pairs",
-    "evaluate", "FeatureConfig", "PartialContext", "extract", "Lexicon",
+    "evaluate", "FeatureConfig", "Lexicon",
     "LexiconEntry", "TagClass", "ambiguity_stats", "load_lexicon",
     "LemmaRule", "LemmaRuleSet", "generate_rules", "lemma_impact",
     "lemmatize", "RuleCascade", "apply_cascade", "audit_precision",

@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from . import baselines as bl
-from .corpus import read_vertical, stats, write_vertical
+from .corpus import read_text, read_vertical, stats, write_vertical
 from .errors import ConfigError, DataError, FormatError, MorphtagError
 from .evaluation import audit_lexicon_exhaustiveness, evaluate
 from .experiment import format_results, parse_spec, run_experiment
@@ -35,21 +35,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-
-
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _load_optional(path, loader):
-    return loader(_read(path), path) if path else None
+    return loader(read_text(path), path) if path else None
 
 
 def default_schema():
@@ -70,7 +65,7 @@ def _feature_config(args, rules):
 # Commands ----------------------------------------------------------------
 
 def _cmd_train(args):
-    corpus = read_vertical(_read(args.train), args.train)
+    corpus = read_vertical(read_text(args.train), args.train)
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
     if args.lexicon_features == "on" and lexicon is None:
@@ -90,7 +85,7 @@ def _cmd_train(args):
 
 def _cmd_tag(args):
     model = Model.load(args.model)
-    corpus = read_vertical(_read(args.input), args.input)
+    corpus = read_vertical(read_text(args.input), args.input)
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
     cfg = model.cfg
@@ -116,8 +111,8 @@ def _cmd_tag(args):
 
 
 def _cmd_baseline(args):
-    train_corpus = read_vertical(_read(args.train), args.train)
-    test_corpus = read_vertical(_read(args.test), args.test)
+    train_corpus = read_vertical(read_text(args.train), args.train)
+    test_corpus = read_vertical(read_text(args.test), args.test)
     lexicon = _load_optional(args.lexicon, load_lexicon)
     if args.mode == "mft-lexicon" and lexicon is None:
         raise ConfigError("mft-lexicon requires --lexicon")
@@ -128,7 +123,7 @@ def _cmd_baseline(args):
         strategy = bl.DefaultTag(args.default_tag)
     elif args.mode == "mft-guesser":
         if args.guesser:
-            guesser = bl.load_guesser(_read(args.guesser), args.guesser)
+            guesser = bl.load_guesser(read_text(args.guesser), args.guesser)
         else:
             text = resources.files("morphtag.data").joinpath("guesser_bg.txt") \
                 .read_text("utf-8")
@@ -147,7 +142,7 @@ def _cmd_baseline(args):
 
 
 def _cmd_experiment(args):
-    spec = parse_spec(_read(args.spec), base_dir=args.base_dir or ".", path=args.spec)
+    spec = parse_spec(read_text(args.spec), base_dir=args.base_dir or ".", path=args.spec)
     results = run_experiment(spec, progress=lambda msg: print(msg, file=sys.stderr))
     table = format_results(results)
     if args.out:
@@ -157,7 +152,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_lemmatize(args):
-    lexicon = load_lexicon(_read(args.lexicon), args.lexicon)
+    lexicon = load_lexicon(read_text(args.lexicon), args.lexicon)
     ruleset = generate_rules(lexicon)
     if args.dump_rules:
         _write(args.dump_rules, dump_rules(ruleset))
@@ -175,7 +170,7 @@ def _cmd_lemmatize(args):
     if args.input:
         if not args.output:
             raise ConfigError("--input requires --output")
-        corpus = read_vertical(_read(args.input), args.input)
+        corpus = read_vertical(read_text(args.input), args.input)
         lines = []
         for sent in corpus:
             for tok in sent.tokens:
@@ -190,7 +185,7 @@ def _cmd_lemmatize(args):
 
 
 def _cmd_stats(args):
-    corpus = read_vertical(_read(args.corpus), args.corpus)
+    corpus = read_vertical(read_text(args.corpus), args.corpus)
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
     st = stats(corpus)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,18 @@ class CorpusStats:
     token_count: int
     type_count: int
     tag_type_count: int
+
+
+def read_text(path) -> str:
+    """Whole UTF-8 file; a file that cannot be opened is a ConfigError, one
+    that is not UTF-8 a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc}", path=path) from None
 
 
 def read_vertical(text: str, path=None) -> Corpus:

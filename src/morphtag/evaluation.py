@@ -48,19 +48,27 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _flatten(gold: Corpus, predicted) -> list[tuple[str, str, str]]:
+def _walk(gold: Corpus, predicted):
+    """Each gold sentence's (token, predicted tag) pairs, after checking
+    there is one tag sequence per sentence, of its length, and a gold tag on
+    every token."""
     if len(predicted) != len(gold.sentences):
         raise ValueError(f"{len(gold.sentences)} gold sentences but "
                          f"{len(predicted)} predicted sequences")
-    triples = []
     for sent, tags in zip(gold.sentences, predicted):
         if len(tags) != len(sent.tokens):
             raise ValueError("sentence length mismatch")
-        for tok, tag in zip(sent.tokens, tags):
+        for tok in sent.tokens:
             if tok.gold_tag is None:
                 raise ValueError(f"token {tok.surface!r} has no gold tag")
-            triples.append((tok.surface, tok.gold_tag, tag))
-    return triples
+        yield zip(sent.tokens, tags)
+
+
+def _top_errors(errors: dict[tuple[str, str], int], k: int):
+    """Top-k (gold, predicted, count), count-descending with lexicographic
+    tie-break."""
+    return sorted(((g, p, c) for (g, p), c in errors.items()),
+                  key=lambda x: (-x[2], x[0], x[1]))[:k]
 
 
 def evaluate(gold: Corpus, predicted, training_vocabulary=frozenset(),
@@ -75,16 +83,9 @@ def evaluate(gold: Corpus, predicted, training_vocabulary=frozenset(),
     sent_correct = 0
     proj_correct = {d: 0 for d in depths}
     errors: dict[tuple[str, str], int] = {}
-    if len(predicted) != len(gold.sentences):
-        raise ValueError(f"{len(gold.sentences)} gold sentences but "
-                         f"{len(predicted)} predicted sequences")
-    for sent, tags in zip(gold.sentences, predicted):
-        if len(tags) != len(sent.tokens):
-            raise ValueError("sentence length mismatch")
+    for pairs in _walk(gold, predicted):
         all_ok = True
-        for tok, tag in zip(sent.tokens, tags):
-            if tok.gold_tag is None:
-                raise ValueError(f"token {tok.surface!r} has no gold tag")
+        for tok, tag in pairs:
             total += 1
             unknown = tok.surface not in training_vocabulary
             if unknown:
@@ -103,15 +104,13 @@ def evaluate(gold: Corpus, predicted, training_vocabulary=frozenset(),
         if all_ok:
             sent_correct += 1
     n_sents = len(gold.sentences)
-    pairs = sorted(((g, p, c) for (g, p), c in errors.items()),
-                   key=lambda x: (-x[2], x[0], x[1]))[:confusion_k]
     return EvalReport(
         token_accuracy=correct / total if total else 1.0,
         sentence_accuracy=sent_correct / n_sents if n_sents else 1.0,
         unknown_token_accuracy=unk_correct / unk_total if unk_total else 1.0,
         token_count=total,
         unknown_token_count=unk_total,
-        confusion_pairs=pairs,
+        confusion_pairs=_top_errors(errors, confusion_k),
         projected_accuracy={d: (proj_correct[d] / total if total else 1.0)
                             for d in depths},
     )
@@ -121,12 +120,12 @@ def confusion_pairs(gold: Corpus, predicted, k: int = 20):
     """Top-k (gold, predicted, count) error pairs, count-descending with
     lexicographic tie-break."""
     errors: dict[tuple[str, str], int] = {}
-    for _, g, p in _flatten(gold, predicted):
-        if g != p:
-            key = (g, p)
-            errors[key] = errors.get(key, 0) + 1
-    return sorted(((g, p, c) for (g, p), c in errors.items()),
-                  key=lambda x: (-x[2], x[0], x[1]))[:k]
+    for pairs in _walk(gold, predicted):
+        for tok, tag in pairs:
+            if tag != tok.gold_tag:
+                key = (tok.gold_tag, tag)
+                errors[key] = errors.get(key, 0) + 1
+    return _top_errors(errors, k)
 
 
 def chi_squared(a: int, b: int, c: int, d: int) -> tuple[float, float]:

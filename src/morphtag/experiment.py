@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .corpus import read_vertical
+from .corpus import read_text, read_vertical
 from .errors import ConfigError, FormatError
 from .evaluation import evaluate
 from .features import FeatureConfig
@@ -121,11 +121,6 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
     )
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def run_experiment(spec: ExperimentSpec, progress=None):
     """Run every grid row end-to-end; returns a list of
     (row_id, sentence_accuracy, token_accuracy).
@@ -133,11 +128,11 @@ def run_experiment(spec: ExperimentSpec, progress=None):
     Rows sharing the same training configuration share one trained model.
     Row failures propagate with the row id attached.
     """
-    train_corpus = read_vertical(_read(spec.train_path), spec.train_path)
-    test_corpus = read_vertical(_read(spec.test_path), spec.test_path)
-    lexicon = load_lexicon(_read(spec.lexicon_path), spec.lexicon_path) \
+    train_corpus = read_vertical(read_text(spec.train_path), spec.train_path)
+    test_corpus = read_vertical(read_text(spec.test_path), spec.test_path)
+    lexicon = load_lexicon(read_text(spec.lexicon_path), spec.lexicon_path) \
         if spec.lexicon_path else None
-    rules = parse_rules(_read(spec.rules_path), spec.rules_path) \
+    rules = parse_rules(read_text(spec.rules_path), spec.rules_path) \
         if spec.rules_path else None
 
     models = {}

@@ -8,7 +8,7 @@ grow monotonically as the bidirectional search commits more tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
@@ -38,21 +38,6 @@ class FeatureConfig:
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
-
-
-@dataclass(frozen=True)
-class PartialContext:
-    """A token position plus whatever neighbour tags are already assigned."""
-
-    words: tuple[str, ...]
-    position: int
-    tags: Mapping[int, str]  # absolute position -> assigned tag
-
-    def __post_init__(self):
-        if not 0 <= self.position < len(self.words):
-            raise ValueError("position outside sentence")
-        if self.position in self.tags:
-            raise ValueError("current position must not carry an assigned tag")
 
 
 def word_features(words: Sequence[str], i: int, cfg: FeatureConfig,
@@ -153,17 +138,3 @@ def suggested_tags(words: Sequence[str], lexicon, rules, cfg: FeatureConfig,
         filtered = apply_cascade(rules, sent, sets)
         return [frozenset(f) if t is not None else None for t, f in zip(raw, filtered)]
     return [frozenset(t) if t is not None else None for t in raw]
-
-
-def extract(ctx: PartialContext, cfg: FeatureConfig, lexicon=None, rules=None) -> list[str]:
-    """Full feature vector for one position; pure and deterministic."""
-    suggested = None
-    if cfg.use_lexicon_features and lexicon is not None:
-        suggested = suggested_tags(ctx.words, lexicon, rules, cfg)[ctx.position]
-    elif cfg.use_lexicon_features:
-        # No lexicon at hand: emit no suggestion features rather than
-        # flagging every word unknown.
-        cfg = replace(cfg, use_lexicon_features=False)
-    feats = word_features(ctx.words, ctx.position, cfg, suggested)
-    feats.extend(tag_features(ctx.words, ctx.position, ctx.tags, cfg))
-    return feats

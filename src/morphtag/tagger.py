@@ -1,30 +1,37 @@
-"""Guided-learning tagger: easiest-first bidirectional beam inference with a
+"""Guided-learning tagger: easiest-first bidirectional beam search with a
 passive-aggressive averaged perceptron.
 
-Inference repeatedly scores every (untagged position, candidate tag) action
-given the neighbour tags already committed, and commits the single
-highest-scoring action anywhere in the sentence, growing tagged spans from
-both directions.  Each span keeps up to B hypotheses; a hypothesis'
-accumulated score is the sum of the action scores that built it.  Context
-tags are only visible through a contiguous run of committed positions
-(offset -2 counts only when -1 is committed too), which keeps every
-hypothesis' score exactly replayable from its commit order.
+One search core serves decoding and training.  Each step scores every
+(untagged position, candidate tag) action given the neighbour tags already
+committed, and commits the single highest-scoring action anywhere in the
+sentence, growing tagged spans from both directions.  Each span keeps up to
+B hypotheses; a hypothesis' accumulated score is the sum of the action
+scores that built it.  Context tags are only visible through a contiguous
+run of committed positions (offset -2 counts only when -1 is committed
+too), which keeps every hypothesis' score exactly replayable from its
+commit order.  It also means a commit is seen only by the two untagged
+positions just outside the new span: the search caches every other
+position's best action and score vectors, and rescores only those two.
 
-Training is beam-1: when the best action disagrees with gold, a
-passive-aggressive update promotes the gold action and demotes the
-predicted one with step size tau = min(C, (margin + s_pred - s_gold) /
-||delta features||^2), then scoring restarts.  Raw weights drive training;
-decoding uses the averaged weights.
+A callback decides each commit.  Decoding records a trace step and keeps
+every candidate tag.  Training is beam-1: it commits the gold tag when the
+best action is gold, or once the sentence has spent its update budget;
+otherwise a passive-aggressive update promotes the gold action and demotes
+the predicted one with step size
+tau = min(C, (margin + s_pred - s_gold) / ||delta features||^2), and the
+step is repeated with every position rescored.  Raw weights drive
+training; decoding uses the averaged weights.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, read_text
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, suggested_tags, tag_features, word_features
 from .lexicon import Lexicon
@@ -99,15 +106,21 @@ class Model:
             "averaged": sparse(self.averaged),
             "meta": self.meta,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, ensure_ascii=False)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != cls.FORMAT_VERSION:
-            raise DataError(f"unsupported model format {payload.get('format')!r}")
+        try:
+            payload = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: model is not JSON: {exc}") from None
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != cls.FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported model format {fmt!r}")
         model = cls(TagInventory(payload["tags"]),
                     FeatureConfig.from_dict(payload["config"]),
                     payload.get("meta", {}))
@@ -117,7 +130,11 @@ class Model:
             for fid, row in payload[name].items():
                 arr = np.zeros(T)
                 for tid, w in row.items():
-                    arr[int(tid)] = w
+                    t = int(tid)
+                    if not 0 <= t < T:
+                        raise DataError(f"{path}: feature {fid} has a weight for "
+                                        f"tag id {t}, outside the {T} tags")
+                    arr[t] = w
                 table[int(fid)] = arr
         return model
 
@@ -212,7 +229,7 @@ def _visible_context(p: int, assigned: dict[int, int]) -> dict[int, int]:
     return vis
 
 
-# Beam decoding -----------------------------------------------------------
+# Easiest-first search ----------------------------------------------------
 
 @dataclass
 class _Span:
@@ -229,79 +246,85 @@ class TraceStep:
     available: dict  # position -> best local action score at that step
 
 
-def _decode_beam(scorer: _SentenceScorer, cand_ids, beam: int):
-    """Easiest-first beam search; returns (tag ids, score, trace, order)."""
+def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
+    """Easiest-first beam search; returns (tag ids, score, commit order).
+
+    Each step finds the best action (p, c) over all untagged positions and
+    calls choose(p, c, cache).  `cache` maps every untagged position to its
+    entry: best score, best tag, the visible context and score vector that
+    tag was scored with, and the score vector of every hypothesis pair.
+    choose returns the tags the commit may keep at p, or None to rescore
+    every position and repeat the step.
+    """
     n = len(scorer.words)
-    span_at: list[_Span | None] = [None] * n
-    untagged = set(range(n))
-    prio_cache: dict[int, tuple[float, int]] = {}
-    trace: list[TraceStep] = []
+    span_at: list[_Span | None] = [None] * n  # written at span edges only
+    untagged = list(range(n))
+    # p -> (best score, best tag, its visible context, its vector,
+    #       [(lh, rh, vector)])
+    cache: dict[int, tuple] = {}
     order: list[int] = []
 
-    def combos(p):
+    def entry(p):
         left = span_at[p - 1] if p > 0 else None
         right = span_at[p + 1] if p < n - 1 else None
+        best, best_c, best_visible, best_vec = -np.inf, -1, None, None
+        pairs = []
         for lh in (left.hyps if left else [None]):
             for rh in (right.hyps if right else [None]):
                 visible = {}
                 if lh is not None:
-                    visible[p - 1] = lh[1][p - 1 - left.start]
+                    visible[p - 1] = lh[1][-1]
                     if p - 2 >= left.start:
-                        visible[p - 2] = lh[1][p - 2 - left.start]
+                        visible[p - 2] = lh[1][-2]
                 if rh is not None:
                     visible[p + 1] = rh[1][0]
                     if p + 2 <= right.end:
                         visible[p + 2] = rh[1][1]
-                yield lh, rh, visible
-
-    def priority(p):
-        cached = prio_cache.get(p)
-        if cached is not None:
-            return cached
-        best = (-np.inf, -1)
-        for _, _, visible in combos(p):
-            vec = scorer.score(p, visible)
-            for c in cand_ids[p]:
-                if vec[c] > best[0]:
-                    best = (float(vec[c]), c)
-        prio_cache[p] = best
-        return best
+                vec = scorer.score(p, visible)
+                pairs.append((lh, rh, vec))
+                for c in cand_ids[p]:
+                    if vec[c] > best:
+                        best, best_c = float(vec[c]), c
+                        best_visible, best_vec = visible, vec
+        return best, best_c, best_visible, best_vec, pairs
 
     while untagged:
-        available = {p: priority(p) for p in sorted(untagged)}
-        best_p = None
-        best = (-np.inf, -1)
-        for p in sorted(available):
-            local, c = available[p]
-            if local > best[0]:
-                best_p, best = p, (local, c)
-        # Commit: merge adjacent spans through position best_p.
-        p = best_p
-        left = span_at[p - 1] if p > 0 else None
-        right = span_at[p + 1] if p < n - 1 else None
+        p, top = None, (-np.inf,)
+        for q in untagged:
+            e = cache.get(q)
+            if e is None:
+                e = cache[q] = entry(q)
+            if e[0] > top[0]:
+                p, top = q, e
+        keep = choose(p, top[1], cache)
+        if keep is None:
+            cache.clear()
+            continue
+        # Commit: merge the adjacent spans through p from the cached vectors.
         merged = []
-        for lh, rh, visible in combos(p):
-            vec = scorer.score(p, visible)
+        for lh, rh, vec in top[4]:
             base = (lh[0] if lh else 0.0) + (rh[0] if rh else 0.0)
             ltags = lh[1] if lh else ()
             rtags = rh[1] if rh else ()
-            for c in cand_ids[p]:
+            for c in keep:
                 merged.append((base + float(vec[c]), ltags + (c,) + rtags))
         merged.sort(key=lambda h: (-h[0], h[1]))
+        left = span_at[p - 1] if p > 0 else None
+        right = span_at[p + 1] if p < n - 1 else None
         span = _Span(left.start if left else p, right.end if right else p,
                      merged[:beam])
-        for i in range(span.start, span.end + 1):
-            span_at[i] = span
-        untagged.discard(p)
+        span_at[span.start] = span_at[span.end] = span
+        untagged.remove(p)
         order.append(p)
-        for q in range(span.start - 2, span.end + 3):
-            prio_cache.pop(q, None)
-        trace.append(TraceStep(p, best[1], best[0],
-                               {q: available[q][0] for q in available}))
+        # Context is seen only through a contiguous committed run, so only
+        # the positions next to the span can see it.  They are rescored even
+        # at beam 1: their cached pairs hold the span's old hypotheses.
+        for q in (p, span.start - 1, span.end + 1):
+            cache.pop(q, None)
     final = span_at[0]
     assert final is not None and final.start == 0 and final.end == n - 1
     score, tags = final.hyps[0]
-    return list(tags), float(score), trace, order
+    return list(tags), float(score), order
 
 
 def decode(sentence: Sentence, model: Model, lexicon: Lexicon | None = None,
@@ -327,7 +350,14 @@ def decode_with_trace(sentence: Sentence, model: Model,
                               dopts.candidate_source, dopts.hard_output_rules)
     scorer = _SentenceScorer(model, words, model.averaged, lexicon, rules,
                              grow=False, cfg=cfg)
-    ids, score, trace, order = _decode_beam(scorer, cand_ids, dopts.beam_size)
+    trace: list[TraceStep] = []
+
+    def choose(p, c, cache):
+        trace.append(TraceStep(p, c, cache[p][0],
+                               {q: cache[q][0] for q in sorted(cache)}))
+        return cand_ids[p]
+
+    ids, score, order = _search(scorer, cand_ids, dopts.beam_size, choose)
     return [model.inventory.tags[t] for t in ids], score, trace, order
 
 
@@ -432,58 +462,45 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     C, margin = topts.aggressiveness, topts.margin
     epoch_accuracy = []
 
-    # Per-sentence candidate sets are fixed across epochs.
-    sent_cands = []
+    # Candidate sets and gold ids are fixed across epochs.  Each sentence's
+    # scorer is built in the first epoch, in corpus order (which fixes the
+    # feature ids), and reused after that.
+    sent_cands, sent_gold = [], []
     for sent in corpus:
         cands = _candidate_ids(sent, inventory, lexicon, rules,
                                topts.candidate_source, None)
-        for tok, ids in zip(sent.tokens, cands):
-            if inventory.id(tok.gold_tag) not in ids:
+        gold = [inventory.id(tok.gold_tag) for tok in sent.tokens]
+        for tok, g, ids in zip(sent.tokens, gold, cands):
+            if g not in ids:
                 raise DataError(
                     f"gold tag {tok.gold_tag!r} of token {tok.surface!r} is not "
                     f"among its candidates under source {topts.candidate_source!r}")
         sent_cands.append(cands)
+        sent_gold.append(gold)
+    scorers: list[_SentenceScorer | None] = [None] * len(corpus.sentences)
 
     for _ in range(topts.epochs):
         total_tokens = 0
         clean_tokens = 0
-        for sent, cand_ids in zip(corpus.sentences, sent_cands):
-            words = [tok.surface for tok in sent.tokens]
-            gold = [inventory.id(tok.gold_tag) for tok in sent.tokens]
-            scorer = _SentenceScorer(model, words, model.weights, lexicon,
-                                     rules, grow=True)
-            n = len(words)
-            assigned: dict[int, int] = {}
-            untagged = set(range(n))
+        for i, sent in enumerate(corpus.sentences):
+            gold = sent_gold[i]
+            scorer = scorers[i]
+            if scorer is None:
+                scorer = scorers[i] = _SentenceScorer(model, sent.surfaces(), model.weights,
+                                                      lexicon, rules, grow=True)
             dirty: set[int] = set()  # positions that triggered an update
-            cache: dict[int, tuple[float, int]] = {}
             guard = 0
-            guard_limit = 50 + 10 * n
-            while untagged:
-                best_p, best = None, (-np.inf, -1)
-                for p in sorted(untagged):
-                    entry = cache.get(p)
-                    if entry is None:
-                        vec = scorer.score(p, _visible_context(p, assigned))
-                        entry = (-np.inf, -1)
-                        for c in cand_ids[p]:
-                            if vec[c] > entry[0]:
-                                entry = (float(vec[c]), c)
-                        cache[p] = entry
-                    if entry[0] > best[0]:
-                        best_p, best = p, entry
-                p, (_, c) = best_p, best
+            guard_limit = 50 + 10 * len(gold)
+
+            def choose(p, c, cache):
+                nonlocal guard
                 if c == gold[p] or guard > guard_limit:
-                    assigned[p] = gold[p]
-                    untagged.discard(p)
-                    for q in range(p - 2, p + 3):
-                        cache.pop(q, None)
-                    continue
+                    return (gold[p],)
                 # Passive-aggressive update on the violating action.
                 dirty.add(p)
                 guard += 1
-                fids = scorer.feature_ids(p, _visible_context(p, assigned))
-                vec = scorer.score_vector(fids)
+                _, _, visible, vec, _ = cache[p]
+                fids = scorer.feature_ids(p, visible)
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
                 denom = 2.0 * len(fids)
                 tau = min(C, (margin + s_pred - s_gold) / denom)
@@ -492,8 +509,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                     if row is None:
                         row = model.weights[fid] = np.zeros(len(inventory))
                     avg.touch(fid, row)
-                mult = {f: fids.count(f) for f in set(fids)}
-                for fid, m in mult.items():
+                for fid, m in Counter(fids).items():
                     row = model.weights[fid]
                     row[gold[p]] += tau * m
                     row[c] -= tau * m
@@ -503,9 +519,11 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                     update_log.append(UpdateRecord(
                         p, gold[p], c, tau, tau >= C,
                         float(vec2[gold[p]] - vec2[c])))
-                cache.clear()
-            total_tokens += n
-            clean_tokens += n - len(dirty)
+                return None
+
+            _search(scorer, sent_cands[i], 1, choose)
+            total_tokens += len(gold)
+            clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)
 
     model.averaged = avg.finalize(model.weights)

@@ -137,6 +137,42 @@ class TestCliTrainTag:
                      "--model", str(tmp_path / "m.json"),
                      "--lexicon-features", "on"]) == 3
 
+    @pytest.mark.parametrize("case, expected", [
+        ("missing-model", 3),
+        ("model-not-json", 2),
+        ("model-tag-id-out-of-range", 2),
+        ("corpus-not-utf8", 2),
+        ("output-dir-missing", 3),
+        ("model-dir-missing", 3),
+    ])
+    def test_broken_input_exit_code(self, case, expected, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        if case == "model-not-json":
+            model.write_text('{"format": 1, "tags": ["A", "B"', encoding="utf-8")
+        elif case == "model-tag-id-out-of-range":
+            model.write_text(
+                '{"format": 1, "tags": ["A", "B"], "features": {"w0=a": 0}, '
+                '"config": {}, "weights": {"0": {"5": 1.0}}, '
+                '"averaged": {"0": {"5": 1.0}}, "meta": {}}', encoding="utf-8")
+        if case == "corpus-not-utf8":
+            corpus.write_bytes("café\tA\n\n".encode("latin-1"))
+            argv = ["stats", "--corpus", str(corpus)]
+        elif case == "output-dir-missing":
+            missing = tmp_path / "no-such-dir"
+            argv = ["gen-synthetic", "--tags", "2", "--vocab", "4", "--sentences", "2",
+                    "--out-corpus", str(missing / "corpus.tsv"),
+                    "--out-lexicon", str(missing / "lexicon.tsv")]
+        elif case == "model-dir-missing":
+            argv = ["train", "--train", str(corpus), "--epochs", "1",
+                    "--model", str(tmp_path / "no-such-dir" / "model.json")]
+        else:
+            argv = ["tag", "--model", str(model), "--input", str(corpus),
+                    "--output", str(tmp_path / "out.tsv")]
+        assert main(argv) == expected
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestCliBaseline:
     def test_modes_run(self, dataset, capsys):

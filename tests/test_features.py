@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import make_lexicon
 from morphtag.errors import ConfigError
-from morphtag.features import (FeatureConfig, PartialContext, extract,
-                               suggested_tags, tag_features, word_features)
+from morphtag.features import FeatureConfig, suggested_tags, tag_features, word_features
 from morphtag.rules import parse_rules
 
 words_strategy = st.lists(st.text(alphabet="абвгд-5A", min_size=1, max_size=6),
@@ -91,30 +90,6 @@ class TestTagFeatures:
         full = set(tag_features(words, i, tags, cfg))
         sub = {j: t for j, t in tags.items() if j in set(assigned[:1])}
         assert set(tag_features(words, i, sub, cfg)) <= full
-
-
-class TestExtract:
-    def test_position_validation(self):
-        with pytest.raises(ValueError):
-            PartialContext(("а",), 1, {})
-        with pytest.raises(ValueError):
-            PartialContext(("а",), 0, {0: "X"})
-
-    def test_pure(self):
-        ctx = PartialContext(("а", "б"), 0, {1: "X"})
-        cfg = FeatureConfig()
-        assert extract(ctx, cfg) == extract(ctx, cfg)
-
-    def test_no_lexicon_means_no_suggestion_features(self):
-        ctx = PartialContext(("а",), 0, {})
-        feats = extract(ctx, FeatureConfig(use_lexicon_features=True))
-        assert not any(f.startswith("lex") for f in feats)
-
-    def test_lexicon_independence_when_disabled(self):
-        ctx = PartialContext(("да",), 0, {})
-        cfg = FeatureConfig(use_lexicon_features=False)
-        lex = make_lexicon({"да": ["Ta", "Tx"]})
-        assert extract(ctx, cfg, lexicon=lex) == extract(ctx, cfg)
 
 
 class TestSuggestedTags:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import ConfigError, DataError
+from morphtag.features import FeatureConfig
 from morphtag.rules import parse_rules
-from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
+from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
+                                split_corpus)
 from morphtag.tagger import (DecodeOptions, Model, TrainOptions,
                              _AveragedAccumulator, decode, decode_with_trace,
                              rescore, train)
@@ -247,3 +250,42 @@ class TestGeneralization:
                 total += 1
                 correct += tag == tok.gold_tag
         assert correct / total >= 0.75
+
+
+class TestGolden:
+    """Exact training and decoding output for fixed seeded inputs: the
+    sha256 of the saved model file and of (tags, score, commit order) of
+    every decoded test sentence at beam 1 and beam 3.  Refactors of the
+    search, the scorer or the update must leave these hashes unchanged."""
+
+    CASES = {
+        "all": ("all", False, (
+            "a290053f4904802095f478bc6347a164f32e5557f12a04ae864c9e78874a53b5",
+            "479bc9bdeffdef12fb3b59a099652d3c0d1a05e4a322afc4a7c8617e864f19a3",
+            "d95eacd3d4502accbb26c1d7aaaaa6cfe29ca4dfae614923ff891f155839bf0f")),
+        "lexicon+rules": ("lexicon+rules", True, (
+            "702981af5c772d9c87e72841c79a99452803b8c01fd2bc29d49ceadaafa9e7de",
+            "7e43f012e3dd86dfde6fe91d9b83e8b2bb2d339c91dc37e5cef94358a0ed15bb",
+            "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_pinned(self, case, tmp_path):
+        source, filtered, expected = self.CASES[case]
+        corpus, lex = small_setup(seed=5, sentences=40, tags=10, vocab=60)
+        tr, te = split_corpus(corpus, (0.75, 0.25))
+        cascade = derive_safe_rules(tr, lex) if filtered else None
+        cfg = FeatureConfig(lexicon_filter="rules" if filtered else "none")
+        model, _ = train(tr, lex, cascade, TrainOptions(epochs=3, candidate_source=source),
+                         cfg)
+        path = tmp_path / "model.json"
+        model.save(path)
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()]
+        for beam in (1, 3):
+            dopts = DecodeOptions(beam_size=beam, candidate_source=source,
+                                  hard_output_rules=cascade)
+            out = [decode_with_trace(s, model, lex, cascade, dopts) for s in te.sentences]
+            digests.append(hashlib.sha256(
+                repr([(tags, score, order) for tags, score, _, order in out]).encode()
+            ).hexdigest())
+        assert tuple(digests) == expected
