@@ -13,6 +13,17 @@ commit order.  It also means a commit is seen only by the two untagged
 positions just outside the new span: the search caches every other
 position's best action and score vectors, and rescores only those two.
 
+Ties are broken the same way everywhere: a position's best tag is the
+lowest tag id among its highest scores, the earliest position wins among
+equal best actions, and a span keeps its hypotheses ordered by
+(-score, tags).  A position whose candidates are the full inventory (every
+token under `all` candidates, out-of-lexicon tokens under `lexicon`) is
+searched with whole-row numpy operations: one argmax finds its best tag,
+and a commit keeps only each hypothesis pair's top B tags by (-score, tag
+id) before the merge sort, which is exact because the hypotheses of one
+pair share their outer tags.  Shorter candidate lists keep per-tag Python
+loops, which are faster for the one to three tags a lexicon usually gives.
+
 A callback decides each commit.  Decoding records a trace step and keeps
 every candidate tag.  Training is beam-1: it commits the gold tag when the
 best action is gold, or once the sentence has spent its update budget;
@@ -26,6 +37,7 @@ training; decoding uses the averaged weights.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -95,8 +107,12 @@ class Model:
 
     def save(self, path):
         def sparse(table):
-            return {str(fid): {str(tid): float(w) for tid, w in enumerate(row) if w != 0.0}
-                    for fid, row in table.items()}
+            out = {}
+            for fid, row in table.items():
+                # flatnonzero skips -0.0 too, so no zero weight is written.
+                nz = np.flatnonzero(row)
+                out[str(fid)] = dict(zip(map(str, nz.tolist()), row[nz].tolist()))
+            return out
         payload = {
             "format": self.FORMAT_VERSION,
             "tags": self.inventory.tags,
@@ -112,6 +128,10 @@ class Model:
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
+    # Top-level fields of a model file and their JSON types; "meta" may be absent.
+    _FIELDS = {"tags": list, "features": dict, "config": dict, "weights": dict,
+               "averaged": dict, "meta": dict}
+
     @classmethod
     def load(cls, path) -> "Model":
         try:
@@ -121,21 +141,36 @@ class Model:
         fmt = payload.get("format") if isinstance(payload, dict) else None
         if fmt != cls.FORMAT_VERSION:
             raise DataError(f"{path}: unsupported model format {fmt!r}")
-        model = cls(TagInventory(payload["tags"]),
-                    FeatureConfig.from_dict(payload["config"]),
-                    payload.get("meta", {}))
-        model.feature_ids = {f: int(i) for f, i in payload["features"].items()}
-        T = len(model.inventory)
-        for name, table in (("weights", model.weights), ("averaged", model.averaged)):
-            for fid, row in payload[name].items():
-                arr = np.zeros(T)
-                for tid, w in row.items():
-                    t = int(tid)
-                    if not 0 <= t < T:
-                        raise DataError(f"{path}: feature {fid} has a weight for "
-                                        f"tag id {t}, outside the {T} tags")
-                    arr[t] = w
-                table[int(fid)] = arr
+        payload.setdefault("meta", {})
+        for key, kind in cls._FIELDS.items():
+            if not isinstance(payload.get(key), kind):
+                raise DataError(f"{path}: model field {key!r} is missing or not "
+                                f"a JSON {'array' if kind is list else 'object'}")
+        # Other bad content below the top level (a tag that is not a string,
+        # an unknown config key, a weight that is not a number) surfaces as
+        # one of these while the model is built.
+        try:
+            model = cls(TagInventory(payload["tags"]),
+                        FeatureConfig.from_dict(payload["config"]), payload["meta"])
+            model.feature_ids = {f: int(i) for f, i in payload["features"].items()}
+            T = len(model.inventory)
+            for name, table in (("weights", model.weights), ("averaged", model.averaged)):
+                for fid, row in payload[name].items():
+                    arr = np.zeros(T)
+                    for tid, w in row.items():
+                        t = int(tid)
+                        if not 0 <= t < T:
+                            raise DataError(f"{path}: feature {fid} has a weight for "
+                                            f"tag id {t}, outside the {T} tags")
+                        # numpy would store null or "nan" as NaN, which the
+                        # search's argmax and its comparisons disagree on.
+                        if not math.isfinite(w):
+                            raise DataError(f"{path}: feature {fid} has the weight "
+                                            f"{w!r} for tag id {t}")
+                        arr[t] = w
+                    table[int(fid)] = arr
+        except (TypeError, ValueError, AttributeError, ConfigError) as exc:
+            raise DataError(f"{path}: malformed model: {exc}") from None
         return model
 
 
@@ -269,6 +304,11 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         right = span_at[p + 1] if p < n - 1 else None
         best, best_c, best_visible, best_vec = -np.inf, -1, None, None
         pairs = []
+        # Candidate ids are sorted and unique, so a list of length T is the
+        # full inventory, and argmax (which returns the first maximum, as
+        # the loop's strict > keeps it) replaces the loop.
+        ids = cand_ids[p]
+        full = len(ids) == scorer.T
         for lh in (left.hyps if left else [None]):
             for rh in (right.hyps if right else [None]):
                 visible = {}
@@ -282,7 +322,7 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
                         visible[p + 2] = rh[1][1]
                 vec = scorer.score(p, visible)
                 pairs.append((lh, rh, vec))
-                for c in cand_ids[p]:
+                for c in (int(vec.argmax()),) if full else ids:
                     if vec[c] > best:
                         best, best_c = float(vec[c]), c
                         best_visible, best_vec = visible, vec
@@ -301,13 +341,25 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
             cache.clear()
             continue
         # Commit: merge the adjacent spans through p from the cached vectors.
+        # A pair's hypotheses share their outer tags, so over the full
+        # inventory only each pair's top `beam` tags by (-score, tag id) can
+        # survive the cut.
         merged = []
         for lh, rh, vec in top[4]:
             base = (lh[0] if lh else 0.0) + (rh[0] if rh else 0.0)
             ltags = lh[1] if lh else ()
             rtags = rh[1] if rh else ()
-            for c in keep:
-                merged.append((base + float(vec[c]), ltags + (c,) + rtags))
+            if len(keep) == scorer.T:
+                scores = base + vec  # the same float sums as the loop below
+                if beam == 1:
+                    best = [int(scores.argmax())]
+                else:
+                    best = np.argsort(-scores, kind="stable")[:beam].tolist()
+                for c in best:
+                    merged.append((float(scores[c]), ltags + (c,) + rtags))
+            else:
+                for c in keep:
+                    merged.append((base + float(vec[c]), ltags + (c,) + rtags))
         merged.sort(key=lambda h: (-h[0], h[1]))
         left = span_at[p - 1] if p > 0 else None
         right = span_at[p + 1] if p < n - 1 else None

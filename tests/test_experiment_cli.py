@@ -141,6 +141,10 @@ class TestCliTrainTag:
         ("missing-model", 3),
         ("model-not-json", 2),
         ("model-tag-id-out-of-range", 2),
+        ("model-missing-key", 2),
+        ("model-wrong-type", 2),
+        ("model-unknown-config-key", 2),
+        ("model-nan-weight", 2),
         ("corpus-not-utf8", 2),
         ("output-dir-missing", 3),
         ("model-dir-missing", 3),
@@ -156,6 +160,22 @@ class TestCliTrainTag:
                 '{"format": 1, "tags": ["A", "B"], "features": {"w0=a": 0}, '
                 '"config": {}, "weights": {"0": {"5": 1.0}}, '
                 '"averaged": {"0": {"5": 1.0}}, "meta": {}}', encoding="utf-8")
+        elif case == "model-missing-key":
+            model.write_text('{"format": 1}', encoding="utf-8")
+        elif case == "model-wrong-type":
+            model.write_text(
+                '{"format": 1, "tags": 5, "features": {}, "config": {}, '
+                '"weights": {}, "averaged": {}, "meta": {}}', encoding="utf-8")
+        elif case == "model-nan-weight":
+            model.write_text(
+                '{"format": 1, "tags": ["A", "B"], "features": {"w0=a": 0}, '
+                '"config": {}, "weights": {"0": {"1": NaN}}, '
+                '"averaged": {"0": {"1": NaN}}, "meta": {}}', encoding="utf-8")
+        elif case == "model-unknown-config-key":
+            model.write_text(
+                '{"format": 1, "tags": ["A", "B"], "features": {}, '
+                '"config": {"nope": 1}, "weights": {}, "averaged": {}, "meta": {}}',
+                encoding="utf-8")
         if case == "corpus-not-utf8":
             corpus.write_bytes("café\tA\n\n".encode("latin-1"))
             argv = ["stats", "--corpus", str(corpus)]

@@ -10,6 +10,7 @@ from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import ConfigError, DataError
 from morphtag.features import FeatureConfig
+from morphtag.lexicon import Lexicon
 from morphtag.rules import parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
@@ -256,7 +257,13 @@ class TestGolden:
     """Exact training and decoding output for fixed seeded inputs: the
     sha256 of the saved model file and of (tags, score, commit order) of
     every decoded test sentence at beam 1 and beam 3.  Refactors of the
-    search, the scorer or the update must leave these hashes unchanged."""
+    search, the scorer or the update must leave these hashes unchanged.
+
+    "lexicon-oov" drops every third word from the lexicon, so sentences mix
+    short candidate lists with the full-inventory fallback.  "all-ties"
+    scales the averaged weights by 5 and rounds them to integers before
+    saving and decoding, so many tags tie exactly and the (-score, tags)
+    tie rule decides."""
 
     CASES = {
         "all": ("all", False, (
@@ -267,17 +274,31 @@ class TestGolden:
             "702981af5c772d9c87e72841c79a99452803b8c01fd2bc29d49ceadaafa9e7de",
             "7e43f012e3dd86dfde6fe91d9b83e8b2bb2d339c91dc37e5cef94358a0ed15bb",
             "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1")),
+        "lexicon-oov": ("lexicon", False, (
+            "726e39ed55168bfe2c3bdeb6ef29ded4df1ac6b50fef37c7b7e2a1f05b7fb969",
+            "71786aef8e071a76037450e45664c7aeb7f5069b8049b46d0c38f9608350274e",
+            "6f6e1f274e67ad1962645c726565fe5aaecb2f23aff2797e2f2a7e8e42b703a2")),
+        "all-ties": ("all", False, (
+            "851cbf3add7e4fb334c67ff23d78698dcf8cee78b6784b592ab382cb8408a1bb",
+            "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
+            "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5")),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_outputs_pinned(self, case, tmp_path):
         source, filtered, expected = self.CASES[case]
         corpus, lex = small_setup(seed=5, sentences=40, tags=10, vocab=60)
+        if case == "lexicon-oov":
+            lex = Lexicon({w: e for i, (w, e) in enumerate(sorted(lex.entries.items()))
+                           if i % 3})
         tr, te = split_corpus(corpus, (0.75, 0.25))
         cascade = derive_safe_rules(tr, lex) if filtered else None
         cfg = FeatureConfig(lexicon_filter="rules" if filtered else "none")
         model, _ = train(tr, lex, cascade, TrainOptions(epochs=3, candidate_source=source),
                          cfg)
+        if case == "all-ties":
+            for row in model.averaged.values():
+                np.round(row * 5, out=row)
         path = tmp_path / "model.json"
         model.save(path)
         digests = [hashlib.sha256(path.read_bytes()).hexdigest()]
