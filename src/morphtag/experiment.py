@@ -69,7 +69,7 @@ def _parse_bool(value, lineno, path):
 
 
 def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
-    keys: dict[str, str] = {}
+    keys: dict[str, str | int] = {}
     rows: list[GridRow] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -82,7 +82,7 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
                     raise FormatError(f"expected key=value, got {token!r}", lineno, path)
                 k, v = token.split("=", 1)
                 fields[k] = v
-            if "id" not in fields:
+            if not fields.get("id"):
                 raise FormatError("row needs an id", lineno, path)
             try:
                 rows.append(GridRow(
@@ -97,7 +97,14 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
                 raise FormatError(str(exc), lineno, path) from None
         elif "=" in line:
             k, v = line.split("=", 1)
-            keys[k.strip()] = v.strip()
+            k, v = k.strip(), v.strip()
+            if k in ("seed", "epochs"):
+                try:
+                    v = int(v)
+                except ValueError:
+                    raise FormatError(f"{k} must be an integer, got {v!r}",
+                                      lineno, path) from None
+            keys[k] = v
         else:
             raise FormatError(f"unexpected line {line!r}", lineno, path)
     for required in ("train", "test"):
@@ -115,8 +122,8 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
         test_path=resolve("test"),
         lexicon_path=resolve("lexicon"),
         rules_path=resolve("rules"),
-        seed=int(keys.get("seed", "0")),
-        epochs=int(keys.get("epochs", "5")),
+        seed=keys.get("seed", 0),
+        epochs=keys.get("epochs", 5),
         rows=rows,
     )
 

@@ -6,6 +6,14 @@ the candidate sets already filtered by earlier ones, and each rule sweeps
 the sentence left to right evaluating its conditions against the current
 (partially filtered) sets.
 
+The conditions that never read the candidate sets (SURFACE-IN, SENT-INITIAL,
+SENT-FINAL) pick a rule's positions before its sweep, through an index from
+each surface of the sentence to its positions; the sweep visits only those,
+still left to right, and tests the other conditions there.  A rule without
+such a condition visits every position.  Skipped positions are exactly those
+where the rule cannot match, so the outputs and the order in which rules fire
+are those of testing every rule at every position.
+
 DSL, one rule per block:
 
     RULE <id>
@@ -191,6 +199,39 @@ def format_rules(cascade: RuleCascade) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+def _sweep(cascade: RuleCascade, sentence: Sentence, sets: list[set[str]]):
+    """Yield (rule, position) wherever the rule matches: rules in cascade
+    order, positions ascending.  Set-dependent conditions are tested against
+    `sets` as the caller leaves them after the previous yield."""
+    n = len(sentence.tokens)
+    where: dict[str, list[int]] = {}
+    for i, tok in enumerate(sentence.tokens):
+        where.setdefault(tok.surface, []).append(i)
+    for rule in cascade:
+        picked = None  # positions where every static condition holds; None: all
+        dynamic = []
+        for c in rule.conditions:
+            if c.kind == "SURFACE-IN":
+                at = {i - c.offset for v in c.values for i in where.get(v, ())}
+            elif c.kind == "SENT-INITIAL":
+                at = {-c.offset}
+            elif c.kind == "SENT-FINAL":
+                at = {n - 1 - c.offset}
+            else:
+                dynamic.append(c)
+                continue
+            picked = at if picked is None else picked & at
+        if picked is None:
+            positions = range(n)
+        elif not picked:
+            continue
+        else:
+            positions = sorted(p for p in picked if 0 <= p < n)
+        for p in positions:
+            if all(c.holds(sentence, p, sets) for c in dynamic):
+                yield rule, p
+
+
 def apply_cascade(cascade: RuleCascade, sentence: Sentence,
                   candidates: list[set[str]]) -> list[set[str]]:
     """Filter per-token candidate sets through the cascade.
@@ -201,12 +242,10 @@ def apply_cascade(cascade: RuleCascade, sentence: Sentence,
     for i, cands in enumerate(sets):
         if not cands:
             raise ValueError(f"empty candidate set at position {i}")
-    for rule in cascade:
-        for i in range(len(sets)):
-            if rule.matches(sentence, i, sets):
-                filtered = rule.filtered(sets[i])
-                if filtered:
-                    sets[i] = filtered
+    for rule, i in _sweep(cascade, sentence, sets):
+        filtered = rule.filtered(sets[i])
+        if filtered:
+            sets[i] = filtered
     return sets
 
 
@@ -222,14 +261,12 @@ def audit_precision(cascade: RuleCascade, corpus: Corpus, lexicon) -> dict[str, 
         for tok in sent.tokens:
             tags = lexicon.tags(tok.surface)
             sets.append(set(tags) if tags else {tok.gold_tag})
-        for rule in cascade:
-            for i in range(len(sets)):
-                if rule.matches(sent, i, sets):
-                    filtered = rule.filtered(sets[i])
-                    if filtered and filtered != sets[i]:
-                        report[rule.rule_id][0] += 1
-                        gold = sent.tokens[i].gold_tag
-                        if gold in sets[i] and gold not in filtered:
-                            report[rule.rule_id][1] += 1
-                        sets[i] = filtered
+        for rule, i in _sweep(cascade, sent, sets):
+            filtered = rule.filtered(sets[i])
+            if filtered and filtered != sets[i]:
+                report[rule.rule_id][0] += 1
+                gold = sent.tokens[i].gold_tag
+                if gold in sets[i] and gold not in filtered:
+                    report[rule.rule_id][1] += 1
+                sets[i] = filtered
     return {rid: (fired, removed) for rid, (fired, removed) in report.items()}

@@ -503,7 +503,10 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
         tags = {tok.gold_tag for tok in corpus.tokens()}
         if lexicon is not None:
             tags |= lexicon.all_tags()
-        inventory = TagInventory(sorted(tags))
+        try:
+            inventory = TagInventory(sorted(tags))
+        except ValueError as exc:
+            raise DataError(f"cannot build the tag inventory: {exc}") from None
     for tok in corpus.tokens():
         if tok.gold_tag not in inventory:
             raise DataError(f"gold tag {tok.gold_tag!r} missing from inventory")

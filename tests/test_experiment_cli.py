@@ -1,4 +1,12 @@
+import contextlib
+import io
+import os
+import re
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphtag.cli import main
 from morphtag.corpus import read_vertical, write_vertical
@@ -57,6 +65,8 @@ class TestSpecParsing:
     def test_bad_row(self):
         with pytest.raises(FormatError):
             parse_spec("train=x\ntest=y\nrow: lexicon_features=on\n")
+        with pytest.raises(FormatError):
+            parse_spec("train=x\ntest=y\nrow: id= beam=1\n")
         with pytest.raises(FormatError):
             parse_spec("train=x\ntest=y\nrow: id=1 rule_filter=bogus\n")
         with pytest.raises(FormatError):
@@ -148,6 +158,9 @@ class TestCliTrainTag:
         ("corpus-not-utf8", 2),
         ("output-dir-missing", 3),
         ("model-dir-missing", 3),
+        ("corpus-invalid-tag", 2),
+        ("lexicon-invalid-tag", 2),
+        ("spec-epochs-not-int", 2),
     ])
     def test_broken_input_exit_code(self, case, expected, tmp_path, capsys):
         corpus = tmp_path / "corpus.tsv"
@@ -187,6 +200,18 @@ class TestCliTrainTag:
         elif case == "model-dir-missing":
             argv = ["train", "--train", str(corpus), "--epochs", "1",
                     "--model", str(tmp_path / "no-such-dir" / "model.json")]
+        elif case == "corpus-invalid-tag":
+            corpus.write_text("a\tA\nb\t[B\n\n", encoding="utf-8")
+            argv = ["train", "--train", str(corpus), "--epochs", "1", "--model", str(model)]
+        elif case == "lexicon-invalid-tag":
+            lexicon = tmp_path / "lexicon.tsv"
+            lexicon.write_text("12\t-r1\n", encoding="utf-8")
+            argv = ["train", "--train", str(corpus), "--lexicon", str(lexicon),
+                    "--epochs", "1", "--model", str(model)]
+        elif case == "spec-epochs-not-int":
+            spec = tmp_path / "spec.txt"
+            spec.write_text(f"train={corpus}\ntest={corpus}\nepochs = 1;\n", encoding="utf-8")
+            argv = ["experiment", "--spec", str(spec)]
         else:
             argv = ["tag", "--model", str(model), "--input", str(corpus),
                     "--output", str(tmp_path / "out.tsv")]
@@ -304,3 +329,110 @@ class TestCliGenSynthetic:
         assert main(["gen-synthetic", "--split", "lots",
                      "--out-corpus", str(tmp_path / "c.tsv"),
                      "--out-lexicon", str(tmp_path / "l.tsv")]) == 3
+
+
+FUZZ_FILES = {
+    "corpus.tsv": "5\tMc\nлв\tNcmt\n\nя\tI\n,\tU\nела\tVpitf-r2s\n\na\tA1\nb\tB1\na\tA2\n",
+    "lex.tsv": ("5\tMc\nлв\tNcmsh\nлв\tNcmt\nя\tI\nя\tPpetas1\n,\tU\n"
+                "ела\tVpitf-r2s\na\tA1\na\tA2\nb\tB1\n"),
+    "rules.dsl": ("RULE ncmt-after-numeral\nIF 0 CLASS-IS Ncmsh;Ncmt\nIF -1 NUMERAL\n"
+                  "THEN RETAIN Ncmt\nEND\n\nRULE ya\nIF 0 SURFACE-IN я\nIF 0 SENT-INITIAL\n"
+                  "IF +1 SURFACE-IN ,\nTHEN RETAIN I\nEND\n"),
+    "spec.txt": ("train=corpus.tsv\ntest=corpus.tsv\nlexicon=lex.tsv\nrules=rules.dsl\n"
+                 "epochs=1\nseed=0\n"
+                 "row: id=1 lexicon_features=on rule_filter=train+test hard_rules=on beam=2\n"),
+}
+# Field values that the readers must reject or accept without a traceback.
+FUZZ_VALUES = ["", "x", "[B", "-r1", "1;", "0", "-1", "2", "NaN", "null", "{}", "[]",
+               "\t", "#", "=", ";", ",", "END", "RULE", "IF", "row:"]
+
+EXPERIMENT_PROGRESS = re.compile(r"training model for .*|row \S*: sentence \S+ token \S+")
+
+
+def _cli_fuzz_argv(d):
+    return [
+        ["train", "--train", f"{d}/corpus.tsv", "--lexicon", f"{d}/lex.tsv",
+         "--rules", f"{d}/rules.dsl", "--rules-mode", "soft", "--lexicon-features", "on",
+         "--candidates", "lexicon+rules", "--epochs", "1", "--model", f"{d}/out.json"],
+        ["tag", "--model", f"{d}/model.json", "--input", f"{d}/corpus.tsv",
+         "--lexicon", f"{d}/lex.tsv", "--rules", f"{d}/rules.dsl", "--hard-rules", "on",
+         "--output", f"{d}/tagged.tsv"],
+        ["stats", "--corpus", f"{d}/corpus.tsv", "--lexicon", f"{d}/lex.tsv",
+         "--rules", f"{d}/rules.dsl", "--ambiguity", "--audit-rules"],
+        ["experiment", "--spec", f"{d}/spec.txt", "--base-dir", d],
+    ]
+
+
+@st.composite
+def _mutations(draw):
+    """One input file and a few edits: a byte inserted, deleted or
+    replaced, a line duplicated or dropped, or a field replaced by a value
+    from FUZZ_VALUES."""
+    name = draw(st.sampled_from(sorted(FUZZ_FILES) + ["model.json"]))
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(("insert", "delete", "replace", "dup-line", "drop-line", "field")),
+        st.integers(0, 10 ** 6),
+        st.sampled_from([bytes([b]) for b in b"\t\n #=,;:-[]{}\"09aM."] + [b"\xff"]),
+        st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3))
+    return name, edits
+
+
+def _apply_edit(data: bytes, edit) -> bytes:
+    kind, where, byte, value = edit
+    if kind in ("dup-line", "drop-line", "field"):
+        lines = data.split(b"\n")
+        k = where % len(lines)
+        if kind == "dup-line":
+            lines.insert(k, lines[k])
+        elif kind == "drop-line":
+            del lines[k]
+        else:
+            fields = re.split(rb"([\t= ])", lines[k])
+            # fields alternate with their separators; replace a field
+            fields[2 * (where // len(lines) % ((len(fields) + 1) // 2))] = value.encode("utf-8")
+            lines[k] = b"".join(fields)
+        return b"\n".join(lines)
+    i = where % (len(data) + 1)
+    if kind == "insert":
+        return data[:i] + byte + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1:]
+    return data[:i] + byte + data[i + 1:]
+
+
+class TestCliFuzz:
+    """Mutated input files end with a documented exit code and a one-line
+    message, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def model_text(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz-model")
+        for name, text in FUZZ_FILES.items():
+            (d / name).write_text(text, encoding="utf-8")
+        assert main(_cli_fuzz_argv(str(d))[0]) == 0
+        return (d / "out.json").read_text(encoding="utf-8")
+
+    def test_mutated_inputs(self, model_text):
+        files = dict(FUZZ_FILES, **{"model.json": model_text})
+
+        @settings(max_examples=200, derandomize=True, database=None)
+        @given(_mutations())
+        def run(mutation):
+            name, edits = mutation
+            data = files[name].encode("utf-8")
+            for edit in edits:
+                data = _apply_edit(data, edit)
+            with tempfile.TemporaryDirectory() as d:
+                for other, text in files.items():
+                    with open(os.path.join(d, other), "wb") as fh:
+                        fh.write(data if other == name else text.encode("utf-8"))
+                for argv in _cli_fuzz_argv(d):
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    assert code in (0, 2, 3), (argv[0], code)
+                    lines = [line for line in err.getvalue().splitlines()
+                             if not EXPERIMENT_PROGRESS.fullmatch(line)]
+                    assert len(lines) == (code != 0), (argv[0], err.getvalue())
+        run()

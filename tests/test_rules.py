@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import DataError, FormatError
-from morphtag.rules import (apply_cascade, audit_precision, format_rules,
-                            parse_rules)
+from morphtag.rules import (Condition, Rule, RuleCascade, apply_cascade,
+                            audit_precision, format_rules, parse_rules)
 
 NUMERAL_RULE = """
 RULE ncmt-after-numeral
@@ -140,6 +140,13 @@ class TestApply:
         out = apply_cascade(cascade, sent("a", "b"), [{"X", "Y"}, {"X", "Y"}])
         assert out == [{"X", "Y"}, {"Y"}]
 
+    def test_left_to_right_within_a_rule(self):
+        # the firing at position 1 changes the left context position 2 tests
+        cascade = parse_rules(
+            "RULE r\nIF 0 SURFACE-IN a\nIF -1 CLASS-IS A1;B1\nTHEN REMOVE A\nEND\n")
+        out = apply_cascade(cascade, sent("a", "a", "a"), [{"A1", "B1"}] * 3)
+        assert out == [{"A1", "B1"}, {"B1"}, {"A1", "B1"}]
+
     @settings(max_examples=60)
     @given(st.integers(0, 2 ** 31))
     def test_reductive_fuzz(self, seed):
@@ -184,3 +191,95 @@ class TestAudit:
         corpus = make_corpus(["a/X"])
         noop = parse_rules("RULE keep-x\nIF 0 SURFACE-IN a\nTHEN RETAIN X\nEND\n")
         assert audit_precision(noop, corpus, lex)["keep-x"] == (0, 0)
+
+
+def reference_cascade(cascade, sentence, candidates):
+    """Every rule tested at every position with Rule.matches."""
+    sets = [set(c) for c in candidates]
+    for rule in cascade:
+        for i in range(len(sets)):
+            if rule.matches(sentence, i, sets):
+                filtered = rule.filtered(sets[i])
+                if filtered:
+                    sets[i] = filtered
+    return sets
+
+
+def reference_audit(cascade, corpus, lexicon):
+    report = {rule.rule_id: [0, 0] for rule in cascade}
+    for s in corpus:
+        sets = [set(lexicon.tags(t.surface) or {t.gold_tag}) for t in s.tokens]
+        for rule in cascade:
+            for i in range(len(sets)):
+                if rule.matches(s, i, sets):
+                    filtered = rule.filtered(sets[i])
+                    if filtered and filtered != sets[i]:
+                        report[rule.rule_id][0] += 1
+                        gold = s.tokens[i].gold_tag
+                        if gold in sets[i] and gold not in filtered:
+                            report[rule.rule_id][1] += 1
+                        sets[i] = filtered
+    return {rid: tuple(counts) for rid, counts in report.items()}
+
+
+SWEEP_WORDS = ("a", "b", "c", "5", "12", "x7")
+SWEEP_TAGS = ("A1", "A2", "B1", "B2", "Mc", "Mo", "C")
+
+
+@st.composite
+def sweep_conditions(draw):
+    offset = draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(("SURFACE-IN", "CLASS-IS", "HAS-PREFIX",
+                                 "SENT-INITIAL", "SENT-FINAL", "NUMERAL")))
+    if kind == "SURFACE-IN":
+        values = tuple(draw(st.lists(st.sampled_from(SWEEP_WORDS), min_size=1,
+                                     max_size=3, unique=True)))
+    elif kind == "CLASS-IS":
+        tags = draw(st.lists(st.sampled_from(SWEEP_TAGS), min_size=1,
+                             max_size=3, unique=True))
+        values = (";".join(sorted(tags)),)
+    elif kind == "HAS-PREFIX":
+        values = (draw(st.sampled_from(("A", "B", "M", "A1", "C"))),)
+    else:
+        values = ()
+    return Condition(offset, kind, values)
+
+
+@st.composite
+def sweep_cascades(draw):
+    rules = []
+    for k in range(draw(st.integers(1, 6))):
+        conds = draw(st.lists(sweep_conditions(), min_size=1, max_size=4))
+        rules.append(Rule(f"r{k}", tuple(conds),
+                          draw(st.sampled_from(("RETAIN", "REMOVE"))),
+                          tuple(draw(st.lists(st.sampled_from(("A", "B", "M", "A1", "C")),
+                                              min_size=1, max_size=2, unique=True)))))
+    return RuleCascade(tuple(rules))
+
+
+sweep_sentences = st.lists(
+    st.tuples(st.sampled_from(SWEEP_WORDS),
+              st.lists(st.sampled_from(SWEEP_TAGS), min_size=1, max_size=4, unique=True)),
+    min_size=1, max_size=8)
+
+
+class TestSweepMatchesReference:
+    """apply_cascade and audit_precision against a walk of every rule at
+    every position, over every condition kind at offsets -2..+2."""
+
+    @settings(max_examples=200)
+    @given(sweep_cascades(), sweep_sentences)
+    def test_apply_cascade(self, cascade, tokens):
+        s = sent(*(w for w, _ in tokens))
+        cands = [set(tags) for _, tags in tokens]
+        assert apply_cascade(cascade, s, cands) == reference_cascade(cascade, s, cands)
+
+    @settings(max_examples=150)
+    @given(sweep_cascades(), st.lists(sweep_sentences, min_size=1, max_size=3),
+           st.dictionaries(st.sampled_from(SWEEP_WORDS),
+                           st.lists(st.sampled_from(SWEEP_TAGS), min_size=1,
+                                    max_size=4, unique=True)))
+    def test_audit_precision(self, cascade, sentences, mapping):
+        corpus = make_corpus(*[[(w, tags[0]) for w, tags in s] for s in sentences])
+        lex = make_lexicon(mapping)
+        assert audit_precision(cascade, corpus, lex) == reference_audit(cascade, corpus, lex)
