@@ -10,7 +10,7 @@ from .errors import ConfigError, DataError, FormatError, MorphtagError, SchemaEr
 from .evaluation import (EvalReport, audit_lexicon_exhaustiveness, chi_squared,
                          confusion_pairs, evaluate)
 from .features import FeatureConfig
-from .lexicon import Lexicon, LexiconEntry, TagClass, ambiguity_stats, load_lexicon
+from .lexicon import Lexicon, LexiconEntry, ambiguity_stats, load_lexicon
 from .lemmatizer import (LemmaRule, LemmaRuleSet, generate_rules, lemma_impact,
                          lemmatize)
 from .rules import RuleCascade, apply_cascade, audit_precision, parse_rules
@@ -28,7 +28,7 @@ __all__ = [
     "MorphtagError", "SchemaError", "EvalReport",
     "audit_lexicon_exhaustiveness", "chi_squared", "confusion_pairs",
     "evaluate", "FeatureConfig", "Lexicon",
-    "LexiconEntry", "TagClass", "ambiguity_stats", "load_lexicon",
+    "LexiconEntry", "ambiguity_stats", "load_lexicon",
     "LemmaRule", "LemmaRuleSet", "generate_rules", "lemma_impact",
     "lemmatize", "RuleCascade", "apply_cascade", "audit_precision",
     "parse_rules", "SyntheticConfig", "generate_lemma_lexicon",

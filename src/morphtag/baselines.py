@@ -22,7 +22,7 @@ UNTAGGABLE = "<UNTAGGABLE>"
 @dataclass
 class MftTable:
     surface_counts: dict[str, Counter]
-    class_counts: dict[str, Counter]  # TagClass key -> tag counts
+    class_counts: dict[str, Counter]  # sorted lexicon tags, ";"-joined -> tag counts
 
 
 def build_mft(corpus: Corpus, lexicon: Lexicon | None = None) -> MftTable:
@@ -35,9 +35,9 @@ def build_mft(corpus: Corpus, lexicon: Lexicon | None = None) -> MftTable:
             raise DataError(f"token {tok.surface!r} has no gold tag")
         surface_counts.setdefault(tok.surface, Counter())[tok.gold_tag] += 1
         if lexicon is not None:
-            tc = lexicon.lookup(tok.surface)
-            if tc is not None:
-                class_counts.setdefault(tc.key, Counter())[tok.gold_tag] += 1
+            tags = lexicon.tags(tok.surface)
+            if tags is not None:
+                class_counts.setdefault(";".join(sorted(tags)), Counter())[tok.gold_tag] += 1
     return MftTable(surface_counts, class_counts)
 
 
@@ -147,17 +147,17 @@ def tag_mft_lexicon(sentence: Sentence, table: MftTable, lexicon: Lexicon,
             if unique:
                 out.append(next(iter(best)))
                 continue
-        tc = lexicon.lookup(tok.surface)
-        if tc is None:
+        tags = lexicon.tags(tok.surface)
+        if tags is None:
             if report is not None:
                 report.append(tok.surface)
             out.append(_seeded_choice(fallback or {UNTAGGABLE}, seed, tok.surface))
             continue
-        class_counts = table.class_counts.get(tc.key)
+        class_counts = table.class_counts.get(";".join(sorted(tags)))
         if class_counts:
             best, unique = _most_frequent(class_counts)
             if unique:
                 out.append(next(iter(best)))
                 continue
-        out.append(_seeded_choice(tc.tags, seed, tok.surface))
+        out.append(_seeded_choice(tags, seed, tok.surface))
     return out

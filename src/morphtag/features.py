@@ -116,25 +116,13 @@ def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str],
     return feats
 
 
-def suggested_tags(words: Sequence[str], lexicon, rules, cfg: FeatureConfig,
-                   fallback: set[str] | None = None) -> list[frozenset[str] | None]:
-    """Per-position lexicon tag sets for feature emission, rule-filtered when
-    the config asks for it.  None marks out-of-lexicon positions.
+def suggested_tags(lookups: Sequence[frozenset[str] | None],
+                   sets: Sequence[frozenset[str] | set[str]]) -> list[frozenset[str] | None]:
+    """Per-position lexicon tag sets for feature emission.
 
-    For cascade evaluation, unknown positions are given `fallback` (or their
-    surface as an opaque singleton) so that neighbouring conditions can still
-    be tested; the returned value for those positions stays None.
+    `lookups[i]` is the lexicon's tag set for word i, None when the word is
+    out of the lexicon; `sets[i]` is the set the rule cascade, if any, left
+    at i.  A word's suggestion is its set, or None out of the lexicon,
+    whatever the cascade made of the set it was given there.
     """
-    if lexicon is None:
-        return [None] * len(words)
-    raw = [lexicon.tags(w) for w in words]
-    if cfg.lexicon_filter == "rules" and rules is not None and len(rules) > 0:
-        from .corpus import Sentence, Token
-        from .rules import apply_cascade
-
-        sent = Sentence(tuple(Token(w) for w in words))
-        sets = [set(t) if t is not None else (set(fallback) if fallback else {w})
-                for t, w in zip(raw, words)]
-        filtered = apply_cascade(rules, sent, sets)
-        return [frozenset(f) if t is not None else None for t, f in zip(raw, filtered)]
-    return [frozenset(t) if t is not None else None for t in raw]
+    return [None if tags is None else frozenset(s) for tags, s in zip(lookups, sets)]

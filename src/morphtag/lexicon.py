@@ -12,27 +12,6 @@ from .corpus import Corpus
 from .errors import DataError, FormatError
 
 
-@dataclass(frozen=True)
-class TagClass:
-    """Canonicalized set of tags a wordform can take."""
-
-    tags: frozenset[str]
-
-    def __post_init__(self):
-        if not self.tags:
-            raise ValueError("empty tag class")
-
-    @property
-    def key(self) -> str:
-        return ";".join(sorted(self.tags))
-
-    def __contains__(self, tag):
-        return tag in self.tags
-
-    def __len__(self):
-        return len(self.tags)
-
-
 @dataclass
 class LexiconEntry:
     surface: str
@@ -55,15 +34,11 @@ class Lexicon:
     def __contains__(self, surface):
         return surface in self.entries
 
-    def lookup(self, surface: str) -> TagClass | None:
-        entry = self.entries.get(surface)
-        if entry is None:
-            return None
-        return TagClass(entry.tags)
-
     def tags(self, surface: str) -> frozenset[str] | None:
         entry = self.entries.get(surface)
         return entry.tags if entry is not None else None
+
+    lookup = tags  # the older name of the same lookup
 
     def lemma(self, surface: str, tag: str) -> str | None:
         entry = self.entries.get(surface)

@@ -32,6 +32,13 @@ the predicted one with step size
 tau = min(C, (margin + s_pred - s_gold) / ||delta features||^2), and the
 step is repeated with every position rescored.  Raw weights drive
 training; decoding uses the averaged weights.
+
+The lexicon is read in one pass per sentence, which training, decoding and
+`rescore` share.  It looks each token up once, runs each rule cascade it
+needs once (the candidate cascade and the lexicon-feature cascade are
+usually the same object), and gives both the candidate tag ids and the
+suggested tag sets of the lexicon features.  An out-of-lexicon token enters
+the cascade as the full inventory and suggests no tags.
 """
 
 from __future__ import annotations
@@ -174,34 +181,55 @@ class Model:
         return model
 
 
-# Candidate construction --------------------------------------------------
+# The lexicon and the rule cascade ----------------------------------------
 
-def _candidate_ids(sentence: Sentence, inventory: TagInventory,
-                   lexicon: Lexicon | None, soft_rules: RuleCascade | None,
-                   source: str, hard_rules: RuleCascade | None) -> list[list[int]]:
-    """Per-token candidate tag ids.
+def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
+                  lexicon: Lexicon | None, rules: RuleCascade | None,
+                  cfg: FeatureConfig, source: str = "all",
+                  hard_rules: RuleCascade | None = None):
+    """What the lexicon and the rule cascade allow at each position:
+    (candidate tag ids, suggested tag sets for the lexicon features).
 
-    Hard output rules override the source: candidates become the
-    cascade-filtered lexicon sets.  Out-of-lexicon tokens (and lexicon tags
-    unknown to the inventory) fall back to the full inventory.
+    Hard output rules override the source: candidates become the lexicon
+    sets filtered by them.  `cfg.lexicon_filter` decides whether the
+    suggestions are filtered by `rules`.  Each token is looked up once; an
+    out-of-lexicon token enters the cascade as the full inventory and
+    suggests None.  Each distinct cascade runs once.  Lexicon tags outside
+    the inventory are dropped from the candidates, and a position left with
+    none falls back to the full inventory.
     """
     n = len(sentence.tokens)
     all_ids = list(range(len(inventory)))
-    if hard_rules is not None and len(hard_rules) > 0:
-        source = "lexicon+rules"
-        soft_rules = hard_rules
-    if source == "all" or lexicon is None:
-        return [all_ids] * n
-    full = set(inventory.tags)
-    raw = [lexicon.tags(tok.surface) for tok in sentence.tokens]
-    sets = [set(t) if t is not None else set(full) for t in raw]
-    if source == "lexicon+rules" and soft_rules is not None and len(soft_rules) > 0:
-        sets = apply_cascade(soft_rules, sentence, sets)
-    out = []
-    for tags in sets:
-        ids = sorted(inventory.index[t] for t in tags if t in inventory.index)
-        out.append(ids if ids else all_ids)
-    return out
+    if hard_rules:
+        source, cand_rules = "lexicon+rules", hard_rules
+    else:
+        cand_rules = rules if source == "lexicon+rules" else None
+    want_cands = source != "all" and lexicon is not None
+    want_suggested = cfg.use_lexicon_features and lexicon is not None
+    if not (want_cands or want_suggested):
+        return [all_ids] * n, [None] * n
+    lookups = [lexicon.tags(tok.surface) for tok in sentence.tokens]
+    full = frozenset(inventory.tags)
+    sets = [full if tags is None else tags for tags in lookups]
+    runs = {}  # id(cascade) -> its output
+
+    def filtered(cascade):
+        if not cascade:
+            return sets
+        if id(cascade) not in runs:
+            runs[id(cascade)] = apply_cascade(cascade, sentence, sets)
+        return runs[id(cascade)]
+
+    cand_ids = [all_ids] * n
+    if want_cands:
+        index = inventory.index
+        cand_ids = [sorted(index[t] for t in tags if t in index) or all_ids
+                    for tags in filtered(cand_rules)]
+    suggested = [None] * n
+    if want_suggested:
+        suggested = suggested_tags(
+            lookups, filtered(rules if cfg.lexicon_filter == "rules" else None))
+    return cand_ids, suggested
 
 
 # Scoring -----------------------------------------------------------------
@@ -212,18 +240,13 @@ class _SentenceScorer:
     position; tag-context features per visible-context query."""
 
     def __init__(self, model: Model, words, table: dict[int, np.ndarray],
-                 lexicon, soft_rules, grow: bool,
-                 cfg: FeatureConfig | None = None):
+                 cfg: FeatureConfig, suggested, grow: bool):
         self.model = model
         self.words = words
         self.table = table
         self.grow = grow
         self.T = len(model.inventory)
-        cfg = self.cfg = cfg if cfg is not None else model.cfg
-        suggested = [None] * len(words)
-        if cfg.use_lexicon_features and lexicon is not None:
-            suggested = suggested_tags(words, lexicon, soft_rules, cfg,
-                                       fallback=set(model.inventory.tags))
+        self.cfg = cfg
         self._static = [self._intern(word_features(words, i, cfg, suggested[i]))
                         for i in range(len(words))]
 
@@ -397,11 +420,11 @@ def decode_with_trace(sentence: Sentence, model: Model,
 
     `cfg` overrides the model's feature config at decode time (used for
     test-only rule filtering of the lexicon features)."""
-    words = [tok.surface for tok in sentence.tokens]
-    cand_ids = _candidate_ids(sentence, model.inventory, lexicon, rules,
-                              dopts.candidate_source, dopts.hard_output_rules)
-    scorer = _SentenceScorer(model, words, model.averaged, lexicon, rules,
-                             grow=False, cfg=cfg)
+    cfg = model.cfg if cfg is None else cfg
+    cand_ids, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, cfg,
+                                        dopts.candidate_source, dopts.hard_output_rules)
+    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, cfg, suggested,
+                             grow=False)
     trace: list[TraceStep] = []
 
     def choose(p, c, cache):
@@ -426,9 +449,10 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
         raise ValueError("commit_order is not a permutation of positions")
     if len(tags) != n:
         raise ValueError("tags/sentence length mismatch")
-    words = [tok.surface for tok in sentence.tokens]
-    scorer = _SentenceScorer(model, words, model.averaged, lexicon, rules,
-                             grow=False, cfg=cfg)
+    cfg = model.cfg if cfg is None else cfg
+    _, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, cfg)
+    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, cfg, suggested,
+                             grow=False)
     tag_ids = [model.inventory.id(t) for t in tags]
     assigned: dict[int, int] = {}
     total = 0.0
@@ -517,13 +541,13 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     C, margin = topts.aggressiveness, topts.margin
     epoch_accuracy = []
 
-    # Candidate sets and gold ids are fixed across epochs.  Each sentence's
-    # scorer is built in the first epoch, in corpus order (which fixes the
-    # feature ids), and reused after that.
-    sent_cands, sent_gold = [], []
+    # Candidate sets, suggestions and gold ids are fixed across epochs.  Each
+    # sentence's scorer is built in the first epoch, in corpus order (which
+    # fixes the feature ids), and reused after that.
+    sent_cands, sent_suggested, sent_gold = [], [], []
     for sent in corpus:
-        cands = _candidate_ids(sent, inventory, lexicon, rules,
-                               topts.candidate_source, None)
+        cands, suggested = _lexicon_pass(sent, inventory, lexicon, rules, cfg,
+                                         topts.candidate_source)
         gold = [inventory.id(tok.gold_tag) for tok in sent.tokens]
         for tok, g, ids in zip(sent.tokens, gold, cands):
             if g not in ids:
@@ -531,6 +555,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                     f"gold tag {tok.gold_tag!r} of token {tok.surface!r} is not "
                     f"among its candidates under source {topts.candidate_source!r}")
         sent_cands.append(cands)
+        sent_suggested.append(suggested)
         sent_gold.append(gold)
     scorers: list[_SentenceScorer | None] = [None] * len(corpus.sentences)
 
@@ -542,7 +567,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
             scorer = scorers[i]
             if scorer is None:
                 scorer = scorers[i] = _SentenceScorer(model, sent.surfaces(), model.weights,
-                                                      lexicon, rules, grow=True)
+                                                      cfg, sent_suggested[i], grow=True)
             dirty: set[int] = set()  # positions that triggered an update
             guard = 0
             guard_limit = 50 + 10 * len(gold)

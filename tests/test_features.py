@@ -3,12 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_lexicon
+from morphtag.corpus import Sentence, Token
 from morphtag.errors import ConfigError
 from morphtag.features import FeatureConfig, suggested_tags, tag_features, word_features
-from morphtag.rules import parse_rules
+from morphtag.rules import apply_cascade, parse_rules
 
 words_strategy = st.lists(st.text(alphabet="абвгд-5A", min_size=1, max_size=6),
                           min_size=1, max_size=6)
+
+
+def sent(*surfaces):
+    return Sentence(tuple(Token(s) for s in surfaces))
 
 
 class TestConfig:
@@ -93,31 +98,25 @@ class TestTagFeatures:
 
 
 class TestSuggestedTags:
+    """Which cascade filters the suggestions is the tagger's choice; see
+    TestLexiconPass in test_tagger.py."""
+
+    CASCADE = parse_rules("RULE r\nIF 0 SURFACE-IN да\nTHEN RETAIN Ta\nEND\n")
+
     def test_plain_lookup(self):
         lex = make_lexicon({"да": ["Ta", "Tx"]})
-        out = suggested_tags(["да", "х"], lex, None, FeatureConfig())
-        assert out == [frozenset({"Ta", "Tx"}), None]
+        lookups = [lex.tags("да"), lex.tags("х")]
+        assert suggested_tags(lookups, lookups) == [frozenset({"Ta", "Tx"}), None]
 
     def test_rule_filtering(self):
         lex = make_lexicon({"да": ["Ta", "Tx"]})
-        cascade = parse_rules(
-            "RULE r\nIF 0 SURFACE-IN да\nTHEN RETAIN Ta\nEND\n")
-        cfg = FeatureConfig(lexicon_filter="rules")
-        out = suggested_tags(["да"], lex, cascade, cfg)
-        assert out == [frozenset({"Ta"})]
-
-    def test_filter_off_ignores_rules(self):
-        lex = make_lexicon({"да": ["Ta", "Tx"]})
-        cascade = parse_rules(
-            "RULE r\nIF 0 SURFACE-IN да\nTHEN RETAIN Ta\nEND\n")
-        out = suggested_tags(["да"], lex, cascade, FeatureConfig())
-        assert out == [frozenset({"Ta", "Tx"})]
+        lookups = [lex.tags("да")]
+        sets = apply_cascade(self.CASCADE, sent("да"), lookups)
+        assert suggested_tags(lookups, sets) == [frozenset({"Ta"})]
 
     def test_oov_stays_none_under_rules(self):
         lex = make_lexicon({"да": ["Ta", "Tx"]})
-        cfg = FeatureConfig(lexicon_filter="rules")
-        cascade = parse_rules(
-            "RULE r\nIF 0 SURFACE-IN да\nTHEN RETAIN Ta\nEND\n")
-        out = suggested_tags(["х", "да"], lex, cascade, cfg,
-                             fallback={"Ta", "Tx"})
+        lookups = [lex.tags("х"), lex.tags("да")]
+        sets = apply_cascade(self.CASCADE, sent("х", "да"), [{"Ta", "Tx"}, lookups[1]])
+        out = suggested_tags(lookups, sets)
         assert out[0] is None and out[1] == frozenset({"Ta"})

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import make_corpus, make_lexicon
+from morphtag.baselines import build_mft
 from morphtag.errors import DataError, FormatError
-from morphtag.lexicon import (TagClass, ambiguity_stats, dump_lexicon,
-                              load_lexicon)
+from morphtag.lexicon import ambiguity_stats, dump_lexicon, load_lexicon
 from morphtag.rules import parse_rules
 
 
@@ -40,20 +40,23 @@ class TestLoad:
 
 
 class TestTagClass:
+    """A word's tag class is its set of lexicon tags; the MFT baselines key
+    a class by its tags, sorted and joined with ';'."""
+
     def test_key_is_sorted_joined(self):
-        assert TagClass(frozenset({"Ncmt", "Ncmsh"})).key == "Ncmsh;Ncmt"
+        lex = make_lexicon({"а": ["Ncmt", "Ncmsh"]})
+        table = build_mft(make_corpus(["а/Ncmt"]), lex)
+        assert list(table.class_counts) == ["Ncmsh;Ncmt"]
 
     def test_key_order_independent(self):
-        assert (TagClass(frozenset(["A", "B"])).key
-                == TagClass(frozenset(["B", "A"])).key)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TagClass(frozenset())
+        lex = make_lexicon({"а": ["A", "B"], "б": ["B", "A"]})
+        table = build_mft(make_corpus(["а/A", "б/B"]), lex)
+        assert table.class_counts == {"A;B": {"A": 1, "B": 1}}
 
     def test_membership(self):
-        tc = TagClass(frozenset({"X"}))
-        assert "X" in tc and "Y" not in tc
+        lex = make_lexicon({"а": ["X"]})
+        assert lex.lookup("а") == lex.tags("а") == frozenset({"X"})
+        assert "X" in lex.lookup("а") and "Y" not in lex.lookup("а")
 
 
 class TestAmbiguityStats:

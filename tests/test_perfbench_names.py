@@ -4,7 +4,12 @@ those names must fail here, not only in a traced benchmark run."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from morphtag.features import FeatureConfig
+from morphtag.synthetic import SyntheticConfig, derive_safe_rules, generate_synthetic
+from morphtag.tagger import DecodeOptions, TrainOptions, decode_with_trace, train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,14 +25,54 @@ class _LookupTracer:
         self.patched.append((owner.__name__, attr, name))
 
 
-def test_traced_names_exist(monkeypatch):
+class _CountingTracer:
+    """Wraps what install_tracing names with a call counter; monkeypatch
+    restores the originals."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.calls = Counter()
+
+    def patch(self, owner, attr, name):
+        original = owner.__dict__[attr]
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+        self.monkeypatch.setattr(owner, attr, counted)
+
+
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_traced_names_exist(monkeypatch):
     tracer = _LookupTracer()
-    workloads.install_tracing(tracer)
+    _workloads(monkeypatch).install_tracing(tracer)
     assert ("morphtag.rules", "apply_cascade", "rules.cascade") in tracer.patched
     assert ("morphtag.rules", "audit_precision", "rules.audit") in tracer.patched
+
+
+def test_rule_path_layers_are_called(monkeypatch):
+    """A lexicon+rules decode goes through the traced names of its layers,
+    so their per-layer metrics cannot fall silently to 0."""
+    corpus, lexicon = generate_synthetic(
+        SyntheticConfig(tag_count=6, vocab_size=30, sentence_count=10), 1)
+    cascade = derive_safe_rules(corpus, lexicon)
+    assert len(cascade) > 0
+    cfg = FeatureConfig(lexicon_filter="rules")
+    model, _ = train(corpus, lexicon, cascade,
+                     TrainOptions(epochs=1, candidate_source="lexicon+rules"), cfg)
+    tracer = _CountingTracer(monkeypatch)
+    _workloads(monkeypatch).install_tracing(tracer)
+    decode_with_trace(corpus.sentences[0], model, lexicon, cascade,
+                      DecodeOptions(candidate_source="lexicon+rules",
+                                    hard_output_rules=cascade))
+    for name in ("features.suggested", "rules.cascade", "lexicon.tags"):
+        assert tracer.calls[name] > 0, name

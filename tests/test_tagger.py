@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from morphtag.corpus import Sentence, Token
 from morphtag.errors import ConfigError, DataError
 from morphtag.features import FeatureConfig
 from morphtag.lexicon import Lexicon
-from morphtag.rules import parse_rules
+from morphtag import rules as rules_mod, tagger as tagger_mod
+from morphtag.rules import RuleCascade, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
 from morphtag.tagger import (DecodeOptions, Model, TrainOptions,
-                             _AveragedAccumulator, decode, decode_with_trace,
-                             rescore, train)
+                             _AveragedAccumulator, _lexicon_pass, decode,
+                             decode_with_trace, rescore, train)
+from morphtag.tagset import TagInventory
 
 
 def sent(*surfaces):
@@ -214,6 +217,71 @@ class TestDecoding:
         assert tags[0] in model.inventory.tags
 
 
+class TestLexiconPass:
+    """One step decides what the lexicon and the rule cascade allow at each
+    position, for the candidates and the lexicon features alike."""
+
+    INVENTORY = TagInventory(["Ta", "Tx", "Ty"])
+    SOFT = parse_rules("RULE s\nIF 0 SURFACE-IN да\nTHEN RETAIN Ta\nEND\n")
+    HARD = parse_rules("RULE h\nIF 0 SURFACE-IN да\nTHEN RETAIN Tx\nEND\n")
+
+    def lexicon(self):
+        return make_lexicon({"да": ["Ta", "Tx"]})
+
+    def test_filter_off_ignores_rules(self):
+        cands, suggested = _lexicon_pass(sent("да"), self.INVENTORY, self.lexicon(),
+                                         self.SOFT, FeatureConfig(), "lexicon+rules")
+        assert suggested == [frozenset({"Ta", "Tx"})]
+        assert cands == [[0]]
+
+    def test_hard_rules_override_candidates_only(self):
+        cfg = FeatureConfig(lexicon_filter="rules")
+        cands, suggested = _lexicon_pass(sent("да"), self.INVENTORY, self.lexicon(),
+                                         self.SOFT, cfg, "all", self.HARD)
+        assert cands == [[1]]
+        assert suggested == [frozenset({"Ta"})]
+
+    def test_oov_enters_cascade_as_full_inventory(self):
+        oov = parse_rules("RULE o\nIF 0 SURFACE-IN х\nTHEN RETAIN Ty\nEND\n")
+        cfg = FeatureConfig(lexicon_filter="rules")
+        cands, suggested = _lexicon_pass(sent("х", "да"), self.INVENTORY, self.lexicon(),
+                                         oov, cfg, "lexicon+rules")
+        assert cands == [[2], [0, 1]]
+        assert suggested == [None, frozenset({"Ta", "Tx"})]
+        cands, _ = _lexicon_pass(sent("х"), self.INVENTORY, self.lexicon(), None, cfg,
+                                 "lexicon")
+        assert cands == [[0, 1, 2]]
+
+    def test_one_lookup_and_cascade_run_per_sentence(self, monkeypatch):
+        corpus, lex = small_setup(seed=5, sentences=12, tags=8, vocab=40)
+        cascade = derive_safe_rules(corpus, lex)
+        assert len(cascade) > 0
+        calls = Counter()
+        cascade_fn, tags_fn = rules_mod.apply_cascade, Lexicon.tags
+
+        def counting_cascade(*args):
+            calls["apply_cascade"] += 1
+            return cascade_fn(*args)
+
+        def counting_tags(self, surface):
+            calls["Lexicon.tags"] += 1
+            return tags_fn(self, surface)
+        monkeypatch.setattr(rules_mod, "apply_cascade", counting_cascade)
+        monkeypatch.setattr(tagger_mod, "apply_cascade", counting_cascade)
+        monkeypatch.setattr(Lexicon, "tags", counting_tags)
+        cfg = FeatureConfig(lexicon_filter="rules")
+        model, _ = train(corpus, lex, cascade,
+                         TrainOptions(epochs=2, candidate_source="lexicon+rules"), cfg)
+        assert calls == {"apply_cascade": len(corpus.sentences),
+                         "Lexicon.tags": sum(len(s.tokens) for s in corpus)}
+        calls.clear()
+        s = corpus.sentences[0]
+        decode_with_trace(s, model, lex, cascade,
+                          DecodeOptions(candidate_source="lexicon+rules",
+                                        hard_output_rules=cascade))
+        assert calls == {"apply_cascade": 1, "Lexicon.tags": len(s.tokens)}
+
+
 class TestPersistence:
     def test_save_load_bit_exact(self, tmp_path):
         corpus, lex = small_setup(sentences=15)
@@ -263,7 +331,10 @@ class TestGolden:
     short candidate lists with the full-inventory fallback.  "all-ties"
     scales the averaged weights by 5 and rounds them to integers before
     saving and decoding, so many tags tie exactly and the (-score, tags)
-    tie rule decides."""
+    tie rule decides.  "hard-rules-prefix" trains on plain lexicon
+    candidates with cascade-filtered lexicon features and decodes under hard
+    output rules that are only the cascade's first two rules, so candidates
+    and features read different cascades in both training and decoding."""
 
     CASES = {
         "all": ("all", False, (
@@ -282,6 +353,10 @@ class TestGolden:
             "851cbf3add7e4fb334c67ff23d78698dcf8cee78b6784b592ab382cb8408a1bb",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5")),
+        "hard-rules-prefix": ("lexicon", True, (
+            "fb924c87eda5a9c06de6cbdde4b8bea9af1ce57a4647b5815252f756b5919338",
+            "9b06f2d7853e01d625518d8c8d8a8611b596eedcdae477e1d0191f4c033deec7",
+            "af98de1cfdf85fa73876ee554d0b0e6f1028ddfd5a766f3ff1fd2b26761e4a5d")),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -293,6 +368,7 @@ class TestGolden:
                            if i % 3})
         tr, te = split_corpus(corpus, (0.75, 0.25))
         cascade = derive_safe_rules(tr, lex) if filtered else None
+        hard = RuleCascade(cascade.rules[:2]) if case == "hard-rules-prefix" else cascade
         cfg = FeatureConfig(lexicon_filter="rules" if filtered else "none")
         model, _ = train(tr, lex, cascade, TrainOptions(epochs=3, candidate_source=source),
                          cfg)
@@ -304,7 +380,7 @@ class TestGolden:
         digests = [hashlib.sha256(path.read_bytes()).hexdigest()]
         for beam in (1, 3):
             dopts = DecodeOptions(beam_size=beam, candidate_source=source,
-                                  hard_output_rules=cascade)
+                                  hard_output_rules=hard)
             out = [decode_with_trace(s, model, lex, cascade, dopts) for s in te.sentences]
             digests.append(hashlib.sha256(
                 repr([(tags, score, order) for tags, score, _, order in out]).encode()
