@@ -178,7 +178,12 @@ def run_experiment(spec: ExperimentSpec, progress=None):
                 progress(f"row {row.row_id}: sentence {report.sentence_accuracy:.4f} "
                          f"token {report.token_accuracy:.4f}")
         except Exception as exc:
-            raise type(exc)(f"row {row.row_id}: {exc}") from exc
+            # Prefix the row id in place: the exception keeps its type, its
+            # attributes (a FormatError's line and path) and its traceback.
+            # Only an exception whose text is its one argument can take it.
+            if len(exc.args) == 1 and str(exc) == exc.args[0]:
+                exc.args = (f"row {row.row_id}: {exc}",)
+            raise
     return results
 
 

@@ -7,8 +7,9 @@ surfaces accumulate readings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .corpus import Corpus
+from .corpus import Corpus, Sentence
 from .errors import DataError, FormatError
 
 
@@ -17,8 +18,10 @@ class LexiconEntry:
     surface: str
     readings: dict[str, str | None] = field(default_factory=dict)  # tag -> lemma
 
-    @property
+    @cached_property
     def tags(self) -> frozenset[str]:
+        """Built on the first lookup and held.  The loaders add readings to
+        entries that already exist, so the set waits until they finish."""
         return frozenset(self.readings)
 
 
@@ -97,6 +100,16 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def lexicon_sets(lexicon: Lexicon, sentence: Sentence) -> list[set[str]]:
+    """Each token's lexicon tags as a new set; an out-of-lexicon token gets
+    a single tag: its gold tag, or its surface when it has none."""
+    sets = []
+    for tok in sentence.tokens:
+        tags = lexicon.tags(tok.surface)
+        sets.append(set(tags) if tags else {tok.gold_tag or tok.surface})
+    return sets
+
+
 def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
                     punct_class: str | None = "U"):
     """(ambiguous_token_fraction, mean_tags_per_token) over non-punctuation
@@ -113,10 +126,7 @@ def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
     ambiguous = 0
     total_tags = 0
     for sent in corpus:
-        sets = []
-        for tok in sent.tokens:
-            tags = lexicon.tags(tok.surface)
-            sets.append(set(tags) if tags else {tok.gold_tag or tok.surface})
+        sets = lexicon_sets(lexicon, sent)
         if rules is not None:
             sets = apply_cascade(rules, sent, sets)
         for tok, cands in zip(sent.tokens, sets):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Sentence
 from .errors import DataError, FormatError
+from .lexicon import lexicon_sets
 
 NUMERAL_TAG_PREFIX = "M"
 
@@ -257,10 +258,7 @@ def audit_precision(cascade: RuleCascade, corpus: Corpus, lexicon) -> dict[str, 
     """
     report = {rule.rule_id: [0, 0] for rule in cascade}
     for sent in corpus:
-        sets = []
-        for tok in sent.tokens:
-            tags = lexicon.tags(tok.surface)
-            sets.append(set(tags) if tags else {tok.gold_tag})
+        sets = lexicon_sets(lexicon, sent)
         for rule, i in _sweep(cascade, sent, sets):
             filtered = rule.filtered(sets[i])
             if filtered and filtered != sets[i]:

@@ -11,7 +11,10 @@ run of committed positions (offset -2 counts only when -1 is committed
 too), which keeps every hypothesis' score exactly replayable from its
 commit order.  It also means a commit is seen only by the two untagged
 positions just outside the new span: the search caches every other
-position's best action and score vectors, and rescores only those two.
+position's best action and score vectors, and rescores only those two.  A
+score vector is the sum of the position's static (surface and lexicon)
+weight rows, built once per search, plus the rows of its tag-context
+features.
 
 Ties are broken the same way everywhere: a position's best tag is the
 lowest tag id among its highest scores, the earliest position wins among
@@ -30,8 +33,12 @@ best action is gold, or once the sentence has spent its update budget;
 otherwise a passive-aggressive update promotes the gold action and demotes
 the predicted one with step size
 tau = min(C, (margin + s_pred - s_gold) / ||delta features||^2), and the
-step is repeated with every position rescored.  Raw weights drive
-training; decoding uses the averaged weights.
+step is repeated.  The update changes only the gold and predicted columns of
+the raw weights, so before the repeat those two columns of every cached
+static sum and score vector are summed again, over the same rows in the same
+order, and each position's best tag is re-derived: the cache ends exactly as
+a full rescore would leave it.  Raw weights drive training; decoding uses
+the averaged weights.
 
 The lexicon is read in one pass per sentence, which training, decoding and
 `rescore` share.  It looks each token up once, runs each rule cascade it
@@ -235,9 +242,16 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
 # Scoring -----------------------------------------------------------------
 
 class _SentenceScorer:
-    """Feature extraction + scoring for one sentence against one weight
-    table.  Static (surface/lexicon) features are computed once per
-    position; tag-context features per visible-context query."""
+    """Feature extraction and scoring for one sentence against one weight
+    table.
+
+    Static (surface and lexicon) feature ids are computed once per position,
+    and the sum of their weight rows on the position's first scoring.  A
+    query copies that sum and adds the rows of its tag-context features.
+    These are the float additions of summing every row from +0.0, in the
+    same order, so each score is exact.  A sum stays valid while the table
+    does; after a change confined to two columns, `refresh` recomputes
+    those columns of a position's sum and of its cached score vectors."""
 
     def __init__(self, model: Model, words, table: dict[int, np.ndarray],
                  cfg: FeatureConfig, suggested, grow: bool):
@@ -247,8 +261,9 @@ class _SentenceScorer:
         self.grow = grow
         self.T = len(model.inventory)
         self.cfg = cfg
-        self._static = [self._intern(word_features(words, i, cfg, suggested[i]))
-                        for i in range(len(words))]
+        self.static_ids = [self._intern(word_features(words, i, cfg, suggested[i]))
+                           for i in range(len(words))]
+        self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
 
     def _intern(self, feats) -> list[int]:
         if self.grow:
@@ -256,21 +271,45 @@ class _SentenceScorer:
         ids = self.model.feature_ids
         return [fid for f in feats if (fid := ids.get(f)) is not None]
 
-    def feature_ids(self, i: int, visible_ids: dict[int, int]) -> list[int]:
-        visible = {j: self.model.inventory.tags[t] for j, t in visible_ids.items()}
-        dynamic = tag_features(self.words, i, visible, self.cfg)
-        return self._static[i] + self._intern(dynamic)
-
-    def score_vector(self, fids) -> np.ndarray:
-        vec = np.zeros(self.T)
+    def _add_rows(self, vec: np.ndarray, fids) -> np.ndarray:
         for fid in fids:
             row = self.table.get(fid)
             if row is not None:
                 vec += row
         return vec
 
-    def score(self, i: int, visible_ids: dict[int, int]) -> np.ndarray:
-        return self.score_vector(self.feature_ids(i, visible_ids))
+    def score_vector(self, fids) -> np.ndarray:
+        return self._add_rows(np.zeros(self.T), fids)
+
+    def score(self, i: int, visible_ids: dict[int, int]) -> tuple[np.ndarray, list[int]]:
+        """Position i's score vector in a visible context, and the ids of
+        that context's tag features."""
+        visible = {j: self.model.inventory.tags[t] for j, t in visible_ids.items()}
+        dynamic = self._intern(tag_features(self.words, i, visible, self.cfg))
+        static = self.static_sums.get(i)
+        if static is None:
+            static = self.static_sums[i] = self.score_vector(self.static_ids[i])
+        return self._add_rows(static.copy(), dynamic), dynamic
+
+    def refresh(self, i: int, pairs, g: int, c: int):
+        """Recompute columns g and c of position i's static sum and of each
+        pair's score vector, in place, after the table changed in those
+        columns only.  Each cell is summed as plain floats over the same
+        rows in the same order as a full rescore."""
+        sg, sc = self._column_sums(0.0, 0.0, self.static_ids[i], g, c)
+        static = self.static_sums[i]
+        static[g], static[c] = sg, sc
+        for *_, vec, dynamic in pairs:
+            vec[g], vec[c] = self._column_sums(sg, sc, dynamic, g, c)
+
+    def _column_sums(self, sg: float, sc: float, fids, g: int, c: int):
+        table = self.table
+        for fid in fids:
+            row = table.get(fid)
+            if row is not None:
+                sg += row.item(g)
+                sc += row.item(c)
+        return sg, sc
 
 
 def _visible_context(p: int, assigned: dict[int, int]) -> dict[int, int]:
@@ -304,34 +343,50 @@ class TraceStep:
     available: dict  # position -> best local action score at that step
 
 
+def _entry(pairs, ids, T: int) -> tuple:
+    """A position's cache entry from the score vectors of its hypothesis
+    pairs: (best score, best tag, the pair that scored it, pairs).
+
+    Candidate ids are sorted and unique, so a list of length T is the full
+    inventory, and argmax (which returns the first maximum, as the loop's
+    strict > keeps it) replaces the loop."""
+    best, best_c, best_pair = -np.inf, -1, None
+    full = len(ids) == T
+    for pair in pairs:
+        vec = pair[2]
+        for c in (int(vec.argmax()),) if full else ids:
+            if vec[c] > best:
+                best, best_c, best_pair = float(vec[c]), c, pair
+    return best, best_c, best_pair, pairs
+
+
+def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
+    """Bring every cache entry up to date after the table changed in
+    columns g and c only; the same as rescoring every cached position."""
+    for q, e in cache.items():
+        scorer.refresh(q, e[3], g, c)
+        cache[q] = _entry(e[3], cand_ids[q], scorer.T)
+
+
 def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     """Easiest-first beam search; returns (tag ids, score, commit order).
 
     Each step finds the best action (p, c) over all untagged positions and
     calls choose(p, c, cache).  `cache` maps every untagged position to its
-    entry: best score, best tag, the visible context and score vector that
-    tag was scored with, and the score vector of every hypothesis pair.
-    choose returns the tags the commit may keep at p, or None to rescore
-    every position and repeat the step.
+    `_entry`; a pair is (left hypothesis, right hypothesis, score vector,
+    tag-context feature ids).  choose returns the tags the commit may keep
+    at p, or None to repeat the step, after bringing the cache up to date.
     """
     n = len(scorer.words)
     span_at: list[_Span | None] = [None] * n  # written at span edges only
     untagged = list(range(n))
-    # p -> (best score, best tag, its visible context, its vector,
-    #       [(lh, rh, vector)])
     cache: dict[int, tuple] = {}
     order: list[int] = []
 
     def entry(p):
         left = span_at[p - 1] if p > 0 else None
         right = span_at[p + 1] if p < n - 1 else None
-        best, best_c, best_visible, best_vec = -np.inf, -1, None, None
         pairs = []
-        # Candidate ids are sorted and unique, so a list of length T is the
-        # full inventory, and argmax (which returns the first maximum, as
-        # the loop's strict > keeps it) replaces the loop.
-        ids = cand_ids[p]
-        full = len(ids) == scorer.T
         for lh in (left.hyps if left else [None]):
             for rh in (right.hyps if right else [None]):
                 visible = {}
@@ -343,13 +398,8 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
                     visible[p + 1] = rh[1][0]
                     if p + 2 <= right.end:
                         visible[p + 2] = rh[1][1]
-                vec = scorer.score(p, visible)
-                pairs.append((lh, rh, vec))
-                for c in (int(vec.argmax()),) if full else ids:
-                    if vec[c] > best:
-                        best, best_c = float(vec[c]), c
-                        best_visible, best_vec = visible, vec
-        return best, best_c, best_visible, best_vec, pairs
+                pairs.append((lh, rh) + scorer.score(p, visible))
+        return _entry(pairs, cand_ids[p], scorer.T)
 
     while untagged:
         p, top = None, (-np.inf,)
@@ -361,14 +411,13 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
                 p, top = q, e
         keep = choose(p, top[1], cache)
         if keep is None:
-            cache.clear()
             continue
         # Commit: merge the adjacent spans through p from the cached vectors.
         # A pair's hypotheses share their outer tags, so over the full
         # inventory only each pair's top `beam` tags by (-score, tag id) can
         # survive the cut.
         merged = []
-        for lh, rh, vec in top[4]:
+        for lh, rh, vec, _ in top[3]:
             base = (lh[0] if lh else 0.0) + (rh[0] if rh else 0.0)
             ltags = lh[1] if lh else ()
             rtags = rh[1] if rh else ()
@@ -457,7 +506,7 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
     assigned: dict[int, int] = {}
     total = 0.0
     for p in commit_order:
-        vec = scorer.score(p, _visible_context(p, assigned))
+        vec, _ = scorer.score(p, _visible_context(p, assigned))
         total += float(vec[tag_ids[p]])
         assigned[p] = tag_ids[p]
     return total
@@ -579,8 +628,8 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 # Passive-aggressive update on the violating action.
                 dirty.add(p)
                 guard += 1
-                _, _, visible, vec, _ = cache[p]
-                fids = scorer.feature_ids(p, visible)
+                _, _, (_, _, vec, dynamic), _ = cache[p]
+                fids = scorer.static_ids[p] + dynamic
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
                 denom = 2.0 * len(fids)
                 tau = min(C, (margin + s_pred - s_gold) / denom)
@@ -599,9 +648,14 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                     update_log.append(UpdateRecord(
                         p, gold[p], c, tau, tau >= C,
                         float(vec2[gold[p]] - vec2[c])))
+                # The update changed only columns gold[p] and c.
+                _refresh(scorer, cache, sent_cands[i], gold[p], c)
                 return None
 
             _search(scorer, sent_cands[i], 1, choose)
+            # Later updates change the table, so the next search rebuilds
+            # the static sums; releasing them keeps memory flat.
+            scorer.static_sums.clear()
             total_tokens += len(gold)
             clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphtag import experiment
 from morphtag.cli import main
 from morphtag.corpus import read_vertical, write_vertical
-from morphtag.errors import ConfigError, FormatError
+from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.experiment import (GridRow, format_results, parse_spec,
                                  run_experiment)
 from morphtag.lexicon import dump_lexicon
@@ -102,6 +103,49 @@ class TestRunExperiment:
         out = format_results([("1", 0.5, 0.75)])
         assert out == "1\t0.5000\t0.7500\n"
         assert format_results([]) == ""
+
+
+class _TwoArgError(DataError):
+    """A package error whose constructor takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestRowErrors:
+    """A failing grid row raises its own exception, with the row id put in
+    front of its message."""
+
+    SPEC = "train=train.tsv\ntest=test.tsv\nepochs=1\nrow: id=r7\n"
+
+    @staticmethod
+    def _fail_with(monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(experiment, "train", failing)
+
+    @pytest.mark.parametrize("exc, message", [
+        (_TwoArgError("no weights", "feature 3"), "error: row r7: no weights at feature 3"),
+        (FormatError("bad field", 4, "x.tsv"), "error: row r7: x.tsv:4: bad field"),
+    ])
+    def test_cli_exit_code_and_one_line(self, exc, message, dataset, tmp_path,
+                                        monkeypatch, capsys):
+        self._fail_with(monkeypatch, exc)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC, encoding="utf-8")
+        assert main(["experiment", "--spec", str(spec), "--base-dir", str(dataset)]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if not EXPERIMENT_PROGRESS.fullmatch(line)]
+        assert lines == [message]
+
+    def test_exception_kept(self, dataset, monkeypatch):
+        exc = FormatError("bad field", 4, "x.tsv")
+        self._fail_with(monkeypatch, exc)
+        with pytest.raises(FormatError) as info:
+            run_experiment(parse_spec(self.SPEC, base_dir=str(dataset)))
+        assert info.value is exc
+        assert (exc.line, exc.path) == (4, "x.tsv")
+        assert str(exc) == "row r7: x.tsv:4: bad field"
 
 
 class TestCliTrainTag:

@@ -3,8 +3,9 @@ import pytest
 from conftest import make_corpus, make_lexicon
 from morphtag.baselines import build_mft
 from morphtag.errors import DataError, FormatError
-from morphtag.lexicon import ambiguity_stats, dump_lexicon, load_lexicon
-from morphtag.rules import parse_rules
+from morphtag.lexicon import ambiguity_stats, dump_lexicon, lexicon_sets, load_lexicon
+from morphtag.rules import audit_precision, parse_rules
+from morphtag.synthetic import generate_lemma_lexicon
 
 
 class TestLoad:
@@ -38,6 +39,16 @@ class TestLoad:
         text = "a\tX\na\tY\tla\nb\tZ\n"
         assert dump_lexicon(load_lexicon(text)) == text
 
+    def test_tag_set_held_once(self):
+        loaded = load_lexicon("a\tX\nb\tY\na\tZ\tl\n")
+        for lex in (loaded, generate_lemma_lexicon(3, 2, 2, seed=1)):
+            for surface, entry in lex.items():
+                tags = lex.tags(surface)
+                assert tags == set(entry.readings)
+                assert lex.tags(surface) is tags
+        # A reading of a surface that already has an entry is in its set.
+        assert loaded.tags("a") == {"X", "Z"}
+
 
 class TestTagClass:
     """A word's tag class is its set of lexicon tags; the MFT baselines key
@@ -57,6 +68,22 @@ class TestTagClass:
         lex = make_lexicon({"а": ["X"]})
         assert lex.lookup("а") == lex.tags("а") == frozenset({"X"})
         assert "X" in lex.lookup("а") and "Y" not in lex.lookup("а")
+
+
+class TestLexiconSets:
+    def test_out_of_lexicon_fallback(self):
+        lex = load_lexicon("a\tX\na\tY\n")
+        corpus = make_corpus(["a/X", "b/Z", "c"])
+        assert lexicon_sets(lex, corpus.sentences[0]) == [{"X", "Y"}, {"Z"}, {"c"}]
+
+    def test_audit_on_untagged_out_of_lexicon_token(self):
+        # An untagged token out of the lexicon enters the cascade as its
+        # surface, so a rule testing its candidates sees strings only.
+        lex = load_lexicon("a\tX\na\tY\n")
+        rules = parse_rules("RULE r1\nIF 0 HAS-PREFIX X\nIF +1 CLASS-IS Z\n"
+                            "THEN RETAIN X\nEND\n")
+        corpus = make_corpus(["a/X", "b"])
+        assert audit_precision(rules, corpus, lex) == {"r1": (0, 0)}
 
 
 class TestAmbiguityStats:

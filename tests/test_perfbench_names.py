@@ -76,3 +76,34 @@ def test_rule_path_layers_are_called(monkeypatch):
                                     hard_output_rules=cascade))
     for name in ("features.suggested", "rules.cascade", "lexicon.tags"):
         assert tracer.calls[name] > 0, name
+
+
+def test_scoring_counts(monkeypatch):
+    """perfbench counts scorings by `features.tag` calls.  Decoding makes
+    exactly as many as when every scoring summed all of its rows (recorded
+    before the per-position static sums).  Training makes fewer than when
+    every update rescored the sentence (453 here): about decoding's rate,
+    since an update patches two columns of the cache instead."""
+    corpus, lexicon = generate_synthetic(
+        SyntheticConfig(tag_count=6, vocab_size=30, sentence_count=10), 1)
+    cascade = derive_safe_rules(corpus, lexicon)
+    tracer = _CountingTracer(monkeypatch)
+    _workloads(monkeypatch).install_tracing(tracer)
+    model, _ = train(corpus, lexicon, cascade,
+                     TrainOptions(epochs=2, candidate_source="lexicon+rules"),
+                     FeatureConfig(lexicon_filter="rules"))
+    train_calls = tracer.calls["features.tag"]
+    decode_calls = {}
+    for beam in (1, 3):
+        tracer.calls.clear()
+        for s in corpus.sentences:
+            decode_with_trace(s, model, lexicon, cascade,
+                              DecodeOptions(beam_size=beam, candidate_source="lexicon+rules",
+                                            hard_output_rules=cascade))
+        decode_calls[beam] = tracer.calls["features.tag"]
+    assert decode_calls == {1: 162, 3: 266}
+    assert model.meta["updates"] == 17
+    assert train_calls < 453
+    # Per training token (two epochs): at most beam-1 decoding's rate plus
+    # the updates' rate.
+    assert train_calls <= 2 * decode_calls[1] + model.meta["updates"]

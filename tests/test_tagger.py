@@ -282,6 +282,72 @@ class TestLexiconPass:
         assert calls == {"apply_cascade": 1, "Lexicon.tags": len(s.tokens)}
 
 
+class TestScoreCacheExact:
+    """Every score vector the search holds equals the sum of all its weight
+    rows from +0.0, byte for byte.  Decoding adds the tag-context rows to
+    each position's static sum; training sums the two columns an update
+    changes again instead of rescoring, and rebuilds the static sums for
+    every search."""
+
+    @staticmethod
+    def _fresh(scorer, i, dynamic) -> bytes:
+        return scorer.score_vector(scorer.static_ids[i] + dynamic).tobytes()
+
+    def _check_scores(self, monkeypatch, checked):
+        score = tagger_mod._SentenceScorer.score
+
+        def checking(scorer, i, visible):
+            vec, dynamic = score(scorer, i, visible)
+            assert vec.tobytes() == self._fresh(scorer, i, dynamic)
+            checked["scores"] += 1
+            return vec, dynamic
+        monkeypatch.setattr(tagger_mod._SentenceScorer, "score", checking)
+
+    def _setup(self, source):
+        corpus, lex = small_setup(seed=5, sentences=20, tags=10, vocab=60)
+        cascade = derive_safe_rules(corpus, lex) if source == "lexicon+rules" else None
+        cfg = FeatureConfig(lexicon_filter="rules" if cascade else "none")
+        return corpus, lex, cascade, cfg
+
+    @pytest.mark.parametrize("source", ["lexicon+rules", "all"])
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_decoding(self, source, beam, monkeypatch):
+        corpus, lex, cascade, cfg = self._setup(source)
+        model, _ = train(corpus, lex, cascade,
+                         TrainOptions(epochs=1, candidate_source=source), cfg)
+        checked = Counter()
+        self._check_scores(monkeypatch, checked)
+        dopts = DecodeOptions(beam_size=beam, candidate_source=source,
+                              hard_output_rules=cascade)
+        for s in corpus.sentences:
+            decode_with_trace(s, model, lex, cascade, dopts)
+        assert checked["scores"] > sum(len(s.tokens) for s in corpus)
+
+    @pytest.mark.parametrize("source", ["lexicon+rules", "all"])
+    def test_training(self, source, monkeypatch):
+        corpus, lex, cascade, cfg = self._setup(source)
+        checked = Counter()
+        self._check_scores(monkeypatch, checked)
+        refresh = tagger_mod._refresh
+
+        def checking_refresh(scorer, cache, cand_ids, g, c):
+            refresh(scorer, cache, cand_ids, g, c)
+            checked["updates"] += 1
+            for q, (best, best_c, _, pairs) in cache.items():
+                checked["entries"] += 1
+                assert (scorer.static_sums[q].tobytes()
+                        == scorer.score_vector(scorer.static_ids[q]).tobytes())
+                (_, _, vec, dynamic), = pairs  # training searches at beam 1
+                assert vec.tobytes() == self._fresh(scorer, q, dynamic)
+                top = max(vec[t] for t in cand_ids[q])
+                assert (best, best_c) == (top, min(t for t in cand_ids[q] if vec[t] == top))
+        monkeypatch.setattr(tagger_mod, "_refresh", checking_refresh)
+        model, _ = train(corpus, lex, cascade,
+                         TrainOptions(epochs=2, candidate_source=source), cfg)
+        assert checked["updates"] == model.meta["updates"] > 0
+        assert checked["entries"] > checked["updates"]
+
+
 class TestPersistence:
     def test_save_load_bit_exact(self, tmp_path):
         corpus, lex = small_setup(sentences=15)
