@@ -51,7 +51,6 @@ the cascade as the full inventory and suggests no tags.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,9 +99,20 @@ class DecodeOptions:
 
 
 class Model:
-    """Sparse linear weights over (feature, tag), raw and averaged."""
+    """Sparse linear weights over (feature, tag): the raw weights that
+    training updates, and their average, which decoding reads.
 
-    FORMAT_VERSION = 1
+    The file (format 2) is one UTF-8 JSON object holding only what decoding
+    reads: `tags`, `config`, `meta` and the averaged table as compressed
+    sparse rows.  Row r belongs to the feature string `features[r]` and
+    holds the cells `offsets[r]:offsets[r + 1]` of the flat arrays `tag_ids`
+    and `values`.  Only nonzero cells are written, and only features with
+    one.  A loaded model interns `features[r]` as id r and has no raw
+    weights.  Decoding gives the same bits either way: it looks rows up by
+    feature string, and an absent feature, an absent row and a zero cell
+    all add nothing to a score vector that starts at +0.0."""
+
+    FORMAT_VERSION = 2
 
     def __init__(self, inventory: TagInventory, cfg: FeatureConfig, meta=None):
         self.inventory = inventory
@@ -120,31 +130,38 @@ class Model:
         return fid
 
     def save(self, path):
-        def sparse(table):
-            out = {}
-            for fid, row in table.items():
-                # flatnonzero skips -0.0 too, so no zero weight is written.
-                nz = np.flatnonzero(row)
-                out[str(fid)] = dict(zip(map(str, nz.tolist()), row[nz].tolist()))
-            return out
+        names = {fid: f for f, fid in self.feature_ids.items()}
+        features, offsets, tag_ids, values = [], [0], [], []
+        for fid, row in self.averaged.items():
+            # flatnonzero skips -0.0 too, so no zero cell is written.
+            nz = np.flatnonzero(row)
+            if nz.size:
+                features.append(names[fid])
+                tag_ids += nz.tolist()
+                # Python floats, whose repr reads back as the same bits.
+                values += row[nz].tolist()
+                offsets.append(len(values))
         payload = {
             "format": self.FORMAT_VERSION,
             "tags": self.inventory.tags,
-            "features": self.feature_ids,
             "config": self.cfg.to_dict(),
-            "weights": sparse(self.weights),
-            "averaged": sparse(self.averaged),
             "meta": self.meta,
+            "features": features,
+            "offsets": offsets,
+            "tag_ids": tag_ids,
+            "values": values,
         }
+        # json.dumps runs the C encoder; json.dump to a file does not.
+        text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False)
+                fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
     # Top-level fields of a model file and their JSON types; "meta" may be absent.
-    _FIELDS = {"tags": list, "features": dict, "config": dict, "weights": dict,
-               "averaged": dict, "meta": dict}
+    _FIELDS = {"tags": list, "config": dict, "meta": dict, "features": list,
+               "offsets": list, "tag_ids": list, "values": list}
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -160,31 +177,49 @@ class Model:
             if not isinstance(payload.get(key), kind):
                 raise DataError(f"{path}: model field {key!r} is missing or not "
                                 f"a JSON {'array' if kind is list else 'object'}")
-        # Other bad content below the top level (a tag that is not a string,
-        # an unknown config key, a weight that is not a number) surfaces as
-        # one of these while the model is built.
+
+        def malformed(problem):
+            return DataError(f"{path}: malformed model: {problem}")
+        # Element types are checked before TagInventory indexes a tag and
+        # before numpy converts the arrays, which would read a true among
+        # integers as 1.  type(), not isinstance: JSON true and false are
+        # not numbers here.
+        for key, types, kind in (("tags", {str}, "a string"), ("features", {str}, "a string"),
+                                 ("offsets", {int}, "an integer"),
+                                 ("tag_ids", {int}, "an integer"),
+                                 ("values", {int, float}, "a number")):
+            if set(map(type, payload[key])) - types:
+                raise malformed(f"an element of {key!r} is not {kind}")
+        features = payload["features"]
+        if len(set(features)) != len(features):
+            raise malformed("a feature is repeated")
+        # A bad tag or config (an invalid or repeated tag, an unknown config
+        # key) surfaces as one of these while the model is built, and an
+        # integer too large for the arrays as OverflowError.
         try:
             model = cls(TagInventory(payload["tags"]),
                         FeatureConfig.from_dict(payload["config"]), payload["meta"])
-            model.feature_ids = {f: int(i) for f, i in payload["features"].items()}
-            T = len(model.inventory)
-            for name, table in (("weights", model.weights), ("averaged", model.averaged)):
-                for fid, row in payload[name].items():
-                    arr = np.zeros(T)
-                    for tid, w in row.items():
-                        t = int(tid)
-                        if not 0 <= t < T:
-                            raise DataError(f"{path}: feature {fid} has a weight for "
-                                            f"tag id {t}, outside the {T} tags")
-                        # numpy would store null or "nan" as NaN, which the
-                        # search's argmax and its comparisons disagree on.
-                        if not math.isfinite(w):
-                            raise DataError(f"{path}: feature {fid} has the weight "
-                                            f"{w!r} for tag id {t}")
-                        arr[t] = w
-                    table[int(fid)] = arr
-        except (TypeError, ValueError, AttributeError, ConfigError) as exc:
-            raise DataError(f"{path}: malformed model: {exc}") from None
+            offsets = np.array(payload["offsets"], dtype=np.int64)
+            tag_ids = np.array(payload["tag_ids"], dtype=np.int64)
+            values = np.array(payload["values"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+            raise malformed(exc) from None
+        R, T = len(features), len(model.inventory)
+        if len(offsets) != R + 1 or len(tag_ids) != len(values):
+            raise malformed(f"{R} features need {R + 1} offsets and as many tag ids as "
+                            f"values, not {len(offsets)}, {len(tag_ids)} and {len(values)}")
+        if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
+            raise malformed(f"offsets do not rise from 0 to the {len(values)} values")
+        if np.any((tag_ids < 0) | (tag_ids >= T)):
+            raise malformed(f"a tag id lies outside the {T} tags")
+        # numpy would store NaN, which the search's argmax and its
+        # comparisons disagree on.
+        if not np.all(np.isfinite(values)):
+            raise malformed("a weight is not finite")
+        matrix = np.zeros((R, T))
+        matrix[np.repeat(np.arange(R), np.diff(offsets)), tag_ids] = values
+        model.feature_ids = dict(zip(features, range(R)))
+        model.averaged = dict(enumerate(matrix))
         return model
 
 

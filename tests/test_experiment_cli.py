@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import re
 import tempfile
@@ -16,6 +17,7 @@ from morphtag.experiment import (GridRow, format_results, parse_spec,
                                  run_experiment)
 from morphtag.lexicon import dump_lexicon
 from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
+from morphtag.tagger import Model
 
 SPEC_TEXT = """
 # grid over lexicon features
@@ -191,14 +193,47 @@ class TestCliTrainTag:
                      "--model", str(tmp_path / "m.json"),
                      "--lexicon-features", "on"]) == 3
 
+    # A well-formed format-2 model: one feature with one weight.
+    MODEL = {"format": 2, "tags": ["A", "B"], "config": {}, "meta": {},
+             "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1], "values": [1.0]}
+    # Each broken model is MODEL with these fields replaced; None drops one.
+    BROKEN_MODELS = {
+        "model-tag-id-out-of-range": {"tag_ids": [5]},
+        "model-missing-key": {"features": None},
+        "model-wrong-type": {"tags": 5},
+        "model-tag-not-string": {"tags": [{"A": 1}, "B"]},
+        "model-unknown-config-key": {"config": {"nope": 1}},
+        "model-nan-weight": {"values": [float("nan")]},
+        "model-offsets-end-short": {"offsets": [0, 1], "tag_ids": [0, 1],
+                                    "values": [1.0, 2.0]},
+        "model-offsets-decrease": {"features": ["w0=a", "w0=b", "w0=c"],
+                                   "offsets": [0, 2, 1, 2], "tag_ids": [0, 1],
+                                   "values": [1.0, 2.0]},
+        "model-duplicate-feature": {"features": ["w0=a", "w0=a"], "offsets": [0, 1, 2],
+                                    "tag_ids": [0, 1], "values": [1.0, 2.0]},
+        "model-string-value": {"values": ["1.0"]},
+        "model-null-value": {"values": [None]},
+        "model-nested-value": {"values": [[1.0]]},
+        "model-float-tag-id": {"tag_ids": [1.0]},
+        # A well-formed format-1 file: it has to be retrained.
+        "model-format-1": {"format": 1, "features": {"w0=a": 0},
+                           "weights": {"0": {"1": 1.0}}, "averaged": {"0": {"1": 1.0}}},
+    }
+
+    def test_well_formed_model_tags(self, tmp_path):
+        """The base of the broken models loads and tags."""
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.MODEL), encoding="utf-8")
+        assert main(["tag", "--model", str(model), "--input", str(corpus),
+                     "--output", str(tmp_path / "out.tsv")]) == 0
+        assert Model.load(model).averaged[0].tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("case, expected", [
         ("missing-model", 3),
         ("model-not-json", 2),
-        ("model-tag-id-out-of-range", 2),
-        ("model-missing-key", 2),
-        ("model-wrong-type", 2),
-        ("model-unknown-config-key", 2),
-        ("model-nan-weight", 2),
+        *((case, 2) for case in BROKEN_MODELS),
         ("corpus-not-utf8", 2),
         ("output-dir-missing", 3),
         ("model-dir-missing", 3),
@@ -211,28 +246,11 @@ class TestCliTrainTag:
         corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
         model = tmp_path / "model.json"
         if case == "model-not-json":
-            model.write_text('{"format": 1, "tags": ["A", "B"', encoding="utf-8")
-        elif case == "model-tag-id-out-of-range":
-            model.write_text(
-                '{"format": 1, "tags": ["A", "B"], "features": {"w0=a": 0}, '
-                '"config": {}, "weights": {"0": {"5": 1.0}}, '
-                '"averaged": {"0": {"5": 1.0}}, "meta": {}}', encoding="utf-8")
-        elif case == "model-missing-key":
-            model.write_text('{"format": 1}', encoding="utf-8")
-        elif case == "model-wrong-type":
-            model.write_text(
-                '{"format": 1, "tags": 5, "features": {}, "config": {}, '
-                '"weights": {}, "averaged": {}, "meta": {}}', encoding="utf-8")
-        elif case == "model-nan-weight":
-            model.write_text(
-                '{"format": 1, "tags": ["A", "B"], "features": {"w0=a": 0}, '
-                '"config": {}, "weights": {"0": {"1": NaN}}, '
-                '"averaged": {"0": {"1": NaN}}, "meta": {}}', encoding="utf-8")
-        elif case == "model-unknown-config-key":
-            model.write_text(
-                '{"format": 1, "tags": ["A", "B"], "features": {}, '
-                '"config": {"nope": 1}, "weights": {}, "averaged": {}, "meta": {}}',
-                encoding="utf-8")
+            model.write_text('{"format": 2, "tags": ["A", "B"', encoding="utf-8")
+        elif case in self.BROKEN_MODELS:
+            fields = {**self.MODEL, **self.BROKEN_MODELS[case]}
+            model.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}),
+                             encoding="utf-8")
         if case == "corpus-not-utf8":
             corpus.write_bytes("café\tA\n\n".encode("latin-1"))
             argv = ["stats", "--corpus", str(corpus)]

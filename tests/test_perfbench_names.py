@@ -1,11 +1,15 @@
 """The benchmark traces program functions by name from outside the program
-(perfbench/workloads.py, `install_tracing`).  A rename or move of one of
-those names must fail here, not only in a traced benchmark run."""
+(perfbench/workloads.py, `install_tracing`), and calls the CLI on broken
+files it writes itself.  A rename or move of one of those names, or a
+change that makes a CLI operation fail, must fail here, not only in a
+benchmark run."""
 
+import contextlib
 import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 from morphtag.features import FeatureConfig
 from morphtag.synthetic import SyntheticConfig, derive_safe_rules, generate_synthetic
@@ -107,3 +111,16 @@ def test_scoring_counts(monkeypatch):
     # Per training token (two epochs): at most beam-1 decoding's rate plus
     # the updates' rate.
     assert train_calls <= 2 * decode_calls[1] + model.meta["updates"]
+
+
+def test_cli_edge_operations_pass(monkeypatch, tmp_path):
+    """The five CLI operations on broken input that toolkit-50 counts in
+    `failed` end with their documented exit code and one stderr line, on
+    the files its set-up writes (two of them are model files)."""
+    workloads = _workloads(monkeypatch)
+    tracer = SimpleNamespace(phase=lambda name: contextlib.nullcontext())
+    workloads.setup(workloads.workload("toolkit-50", tiny=True), 1, str(tmp_path), tracer)
+    outcomes = {name: workloads.run_cli_edge(argv, expected)
+                for name, argv, expected in workloads.cli_edge_cases(str(tmp_path))}
+    assert len(outcomes) == 5
+    assert all(ok for ok, _ in outcomes.values()), outcomes

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -348,21 +350,102 @@ class TestScoreCacheExact:
         assert checked["entries"] > checked["updates"]
 
 
+@st.composite
+def _averaged_tables(draw):
+    """(T, unused feature count, [(feature number, averaged row)])."""
+    T = draw(st.integers(1, 5))
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                                      1.7976931348623157e308]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    row = st.one_of(st.lists(cell, min_size=T, max_size=T),
+                    st.lists(st.sampled_from([0.0, -0.0]), min_size=T, max_size=T))
+    rows = draw(st.lists(st.tuples(st.integers(0, 7), row), max_size=8))
+    return T, draw(st.integers(0, 8)), rows
+
+
 class TestPersistence:
+    @staticmethod
+    def _outputs(model, lex, cascade, source, sentences) -> str:
+        """repr of decode_with_trace and rescore at beams 1 and 3: equal
+        reprs mean equal bits, -0.0 included."""
+        out = []
+        for beam in (1, 3):
+            dopts = DecodeOptions(beam_size=beam, candidate_source=source)
+            for s in sentences:
+                tags, score, trace, order = decode_with_trace(s, model, lex, cascade, dopts)
+                out.append((tags, score, trace, order,
+                            rescore(s, tags, order, model, lex, cascade)))
+        return repr(out)
+
+    @staticmethod
+    def _nonzero_rows(model) -> dict[str, bytes]:
+        """feature -> averaged row bytes, for rows with a nonzero cell; adding
+        +0.0 reads -0.0 cells as +0.0."""
+        names = {fid: f for f, fid in model.feature_ids.items()}
+        return {names[fid]: (row + 0.0).tobytes()
+                for fid, row in model.averaged.items() if np.any(row != 0.0)}
+
     def test_save_load_bit_exact(self, tmp_path):
+        """A reloaded model keeps exactly the nonzero averaged rows, decodes,
+        traces and rescores as the model in memory, and saves the same
+        bytes again."""
         corpus, lex = small_setup(sentences=15)
-        model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        for source in ("all", "lexicon+rules"):
+            cascade = derive_safe_rules(corpus, lex) if source == "lexicon+rules" else None
+            model, _ = train(corpus, lex, cascade, TrainOptions(epochs=2, candidate_source=source))
+            path = tmp_path / f"{source}.json"
+            model.save(path)
+            loaded = Model.load(path)
+            assert loaded.cfg == model.cfg
+            assert loaded.inventory.tags == model.inventory.tags
+            assert loaded.meta == model.meta
+            assert loaded.weights == {}
+            rows = self._nonzero_rows(model)
+            assert 0 < len(rows) < len(model.feature_ids)
+            assert self._nonzero_rows(loaded) == rows
+            assert set(loaded.feature_ids) == set(rows)
+            assert (self._outputs(loaded, lex, cascade, source, corpus.sentences[:6])
+                    == self._outputs(model, lex, cascade, source, corpus.sentences[:6]))
+            again = tmp_path / f"{source}-again.json"
+            loaded.save(again)
+            assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_averaged_tables())
+    def test_round_trip_random_tables(self, table):
+        """Random sparse averaged tables, with -0.0, subnormals, +-1e308 and
+        all-zero rows, in any row order."""
+        T, extra, rows = table
+        model = Model(TagInventory([f"T{t}" for t in range(T)]), FeatureConfig())
+        for fid, row in rows:
+            model.averaged[model.intern(f"f{fid}")] = np.array(row)
+        for k in range(extra):
+            model.intern(f"unused{k}")
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "model.json")
+            model.save(path)
+            loaded = Model.load(path)
+            assert self._nonzero_rows(loaded) == self._nonzero_rows(model)
+            assert set(loaded.feature_ids) == set(self._nonzero_rows(model))
+            assert list(loaded.feature_ids.values()) == list(loaded.averaged) \
+                == list(range(len(loaded.averaged)))
+            again = os.path.join(d, "again.json")
+            loaded.save(again)
+            with open(path, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_model_without_updates(self, tmp_path):
+        """A corpus the zero weights already tag right trains no update: the
+        averaged table is empty, and the model saves, loads and decodes."""
+        corpus = make_corpus([("a", "A"), ("b", "A")], [("c", "A")])
+        model, _ = train(corpus, topts=TrainOptions(epochs=1))
+        assert model.meta["updates"] == 0 and model.averaged == {}
         path = tmp_path / "model.json"
         model.save(path)
         loaded = Model.load(path)
-        assert loaded.feature_ids == model.feature_ids
-        assert loaded.cfg == model.cfg
-        assert loaded.inventory.tags == model.inventory.tags
-        for fid, row in model.averaged.items():
-            if np.any(row != 0.0):
-                assert np.array_equal(loaded.averaged[fid], row)
-        for s in corpus.sentences[:6]:
-            assert decode(s, loaded, lex) == decode(s, model, lex)
+        assert loaded.averaged == {} and loaded.feature_ids == {}
+        s = corpus.sentences[0]
+        assert decode(s, loaded) == decode(s, model) == (["A", "A"], 0.0)
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
@@ -389,9 +472,12 @@ class TestGeneralization:
 
 class TestGolden:
     """Exact training and decoding output for fixed seeded inputs: the
-    sha256 of the saved model file and of (tags, score, commit order) of
-    every decoded test sentence at beam 1 and beam 3.  Refactors of the
-    search, the scorer or the update must leave these hashes unchanged.
+    sha256 of the saved model file, of (tags, score, commit order) of every
+    decoded test sentence at beam 1 and beam 3, and of the trained model in
+    memory (features, raw and averaged rows, which the file does not all
+    carry).  Refactors of the search, the scorer or the update must leave
+    these hashes unchanged.  Decoding through the reloaded file must give
+    the same decode hashes as the model in memory.
 
     "lexicon-oov" drops every third word from the lexicon, so sentences mix
     short candidate lists with the full-inventory fallback.  "all-ties"
@@ -404,26 +490,42 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "a290053f4904802095f478bc6347a164f32e5557f12a04ae864c9e78874a53b5",
+            "00fdd9013dab707425a7bb036d1b47c55e1bd6300fe99c0bc2a5ca4e3f0861e9",
             "479bc9bdeffdef12fb3b59a099652d3c0d1a05e4a322afc4a7c8617e864f19a3",
-            "d95eacd3d4502accbb26c1d7aaaaa6cfe29ca4dfae614923ff891f155839bf0f")),
+            "d95eacd3d4502accbb26c1d7aaaaa6cfe29ca4dfae614923ff891f155839bf0f",
+            "31685ee140b10ea67b3ddf216996cb4dbdbb26245f5069a87d5b603c90344daa")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "702981af5c772d9c87e72841c79a99452803b8c01fd2bc29d49ceadaafa9e7de",
+            "7fe4d0f838c1e03abf9f37d3e3fe4ceeeaa301662cc2bd39edf63d2dde9bc74d",
             "7e43f012e3dd86dfde6fe91d9b83e8b2bb2d339c91dc37e5cef94358a0ed15bb",
-            "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1")),
+            "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1",
+            "5e51297594a3832599c7798ad4dc94e9a9b46c74970385746586e9b32418f66e")),
         "lexicon-oov": ("lexicon", False, (
-            "726e39ed55168bfe2c3bdeb6ef29ded4df1ac6b50fef37c7b7e2a1f05b7fb969",
+            "3d3d456ad2040d61530ee3847e059b9654b6fe6bc355d7eb1bf8476f54b633e5",
             "71786aef8e071a76037450e45664c7aeb7f5069b8049b46d0c38f9608350274e",
-            "6f6e1f274e67ad1962645c726565fe5aaecb2f23aff2797e2f2a7e8e42b703a2")),
+            "6f6e1f274e67ad1962645c726565fe5aaecb2f23aff2797e2f2a7e8e42b703a2",
+            "31b361af631eafff0deaba953dd247d77cc69a3f1cc6e8ebd2cc86fedea7a47d")),
         "all-ties": ("all", False, (
-            "851cbf3add7e4fb334c67ff23d78698dcf8cee78b6784b592ab382cb8408a1bb",
+            "18c11bb121382b05cb3aa466adddfab5939677ab395b02cc3c61c07450f4a4c3",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
-            "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5")),
+            "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
+            "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "fb924c87eda5a9c06de6cbdde4b8bea9af1ce57a4647b5815252f756b5919338",
+            "8165126f266a86fd4a9d2edd450ab8b0ae09e72fee518d876ceab83a93b1165e",
             "9b06f2d7853e01d625518d8c8d8a8611b596eedcdae477e1d0191f4c033deec7",
-            "af98de1cfdf85fa73876ee554d0b0e6f1028ddfd5a766f3ff1fd2b26761e4a5d")),
+            "af98de1cfdf85fa73876ee554d0b0e6f1028ddfd5a766f3ff1fd2b26761e4a5d",
+            "5e43905bd4ffc310f741e9a791706d278f432e6bc3f351fd0a620139a03b26e2")),
     }
+
+    @staticmethod
+    def _model_digest(model) -> str:
+        """sha256 of the trained model in memory: the interned features, then
+        the raw and the averaged rows in fid order."""
+        h = hashlib.sha256(repr(model.feature_ids).encode())
+        for table in (model.weights, model.averaged):
+            for fid in sorted(table):
+                h.update(repr(fid).encode())
+                h.update(table[fid].tobytes())
+        return h.hexdigest()
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_outputs_pinned(self, case, tmp_path):
@@ -443,12 +545,17 @@ class TestGolden:
                 np.round(row * 5, out=row)
         path = tmp_path / "model.json"
         model.save(path)
-        digests = [hashlib.sha256(path.read_bytes()).hexdigest()]
-        for beam in (1, 3):
+        loaded = Model.load(path)
+
+        def decode_digest(m, beam):
             dopts = DecodeOptions(beam_size=beam, candidate_source=source,
                                   hard_output_rules=hard)
-            out = [decode_with_trace(s, model, lex, cascade, dopts) for s in te.sentences]
-            digests.append(hashlib.sha256(
+            out = [decode_with_trace(s, m, lex, cascade, dopts) for s in te.sentences]
+            return hashlib.sha256(
                 repr([(tags, score, order) for tags, score, _, order in out]).encode()
-            ).hexdigest())
-        assert tuple(digests) == expected
+            ).hexdigest()
+        decoded = [decode_digest(model, beam) for beam in (1, 3)]
+        digests = (hashlib.sha256(path.read_bytes()).hexdigest(), *decoded,
+                   self._model_digest(model))
+        assert digests == expected
+        assert [decode_digest(loaded, beam) for beam in (1, 3)] == decoded
