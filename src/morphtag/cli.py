@@ -257,7 +257,8 @@ def build_parser():
     p.add_argument("--candidates", choices=("all", "lexicon", "lexicon+rules"),
                    default="all")
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the model's meta only; training is deterministic")
     p.add_argument("--aggressiveness", type=float, default=1.0)
     p.add_argument("--margin", type=float, default=1.0)
     p.set_defaults(func=_cmd_train)

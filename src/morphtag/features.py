@@ -1,9 +1,14 @@
 """Sparse feature extraction for a token inside a partially tagged sentence.
 
-Every feature is a namespaced string with implicit value 1.  Word-shape
-templates depend only on the surfaces; tag-context templates fire for
-whichever neighbour positions already carry an assigned tag, so vectors
-grow monotonically as the bidirectional search commits more tags.
+Every feature is a namespaced string with implicit value 1, from three
+fixed template groups:
+- surface: the word and its neighbours at -2..+2, prefixes and suffixes of
+  1 to MAX_AFFIX_LEN characters, digit/hyphen/capital flags, word bigrams;
+- lexicon, if enabled: each suggested tag and the suggested set, or
+  `lex=<unk>` out of the lexicon;
+- tag context: the tags at -2..+2, the pairs (-2,-1), (+1,+2) and (-1,+1),
+  and the word with each adjacent tag.  These fire for the neighbours
+  already tagged, so vectors grow monotonically as the search commits tags.
 """
 
 from __future__ import annotations
@@ -13,22 +18,20 @@ from typing import Mapping, Sequence
 
 from .errors import ConfigError
 
+MAX_AFFIX_LEN = 9
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    max_affix_len: int = 9
+    """Whether lexicon suggestions are features, and whether the cascade filters them."""
+
     use_lexicon_features: bool = True
     lexicon_filter: str = "none"  # "none" | "rules"
-    use_affixes: bool = True
-    use_ortho: bool = True
-    use_context_words: bool = True
-    use_tag_context: bool = True
-    use_bilexical: bool = True
-    use_word_bigrams: bool = True
 
     def __post_init__(self):
-        if self.max_affix_len < 1:
-            raise ConfigError(f"max_affix_len must be >= 1, got {self.max_affix_len}")
+        if type(self.use_lexicon_features) is not bool:
+            raise ConfigError("use_lexicon_features must be true or false, "
+                              f"got {self.use_lexicon_features!r}")
         if self.lexicon_filter not in ("none", "rules"):
             raise ConfigError(f"unknown lexicon_filter {self.lexicon_filter!r}")
 
@@ -50,28 +53,21 @@ def word_features(words: Sequence[str], i: int, cfg: FeatureConfig,
     """
     w = words[i]
     n = len(words)
-    feats = [f"w0={w}"]
-    if cfg.use_context_words:
-        feats.append(f"w-1={words[i - 1]}" if i >= 1 else "w-1=<s>")
-        feats.append(f"w-2={words[i - 2]}" if i >= 2 else "w-2=<s>")
-        feats.append(f"w+1={words[i + 1]}" if i + 1 < n else "w+1=</s>")
-        feats.append(f"w+2={words[i + 2]}" if i + 2 < n else "w+2=</s>")
-    if cfg.use_affixes:
-        for k in range(1, min(cfg.max_affix_len, len(w)) + 1):
-            feats.append(f"pre{k}={w[:k]}")
-            feats.append(f"suf{k}={w[-k:]}")
-    if cfg.use_ortho:
-        if any(ch.isdigit() for ch in w):
-            feats.append("ortho=digit")
-        if "-" in w:
-            feats.append("ortho=hyphen")
-        if w[0].isupper():
-            feats.append("ortho=init-upper")
-    if cfg.use_word_bigrams:
-        left = words[i - 1] if i >= 1 else "<s>"
-        right = words[i + 1] if i + 1 < n else "</s>"
-        feats.append(f"wb-1={left}|{w}")
-        feats.append(f"wb+1={w}|{right}")
+    left = words[i - 1] if i >= 1 else "<s>"
+    right = words[i + 1] if i + 1 < n else "</s>"
+    feats = [f"w0={w}", f"w-1={left}", f"w-2={words[i - 2]}" if i >= 2 else "w-2=<s>",
+             f"w+1={right}", f"w+2={words[i + 2]}" if i + 2 < n else "w+2=</s>"]
+    for k in range(1, min(MAX_AFFIX_LEN, len(w)) + 1):
+        feats.append(f"pre{k}={w[:k]}")
+        feats.append(f"suf{k}={w[-k:]}")
+    if any(ch.isdigit() for ch in w):
+        feats.append("ortho=digit")
+    if "-" in w:
+        feats.append("ortho=hyphen")
+    if w[0].isupper():
+        feats.append("ortho=init-upper")
+    feats.append(f"wb-1={left}|{w}")
+    feats.append(f"wb+1={w}|{right}")
     if cfg.use_lexicon_features:
         if suggested is None:
             feats.append("lex=<unk>")
@@ -82,12 +78,9 @@ def word_features(words: Sequence[str], i: int, cfg: FeatureConfig,
     return feats
 
 
-def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str],
-                 cfg: FeatureConfig) -> list[str]:
+def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str]) -> list[str]:
     """Templates over assigned neighbour tags; empty when nothing nearby is
     assigned yet."""
-    if not cfg.use_tag_context:
-        return []
     t_m1 = tags.get(i - 1)
     t_m2 = tags.get(i - 2)
     t_p1 = tags.get(i + 1)
@@ -107,12 +100,11 @@ def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str],
         feats.append(f"t+1,t+2={t_p1}|{t_p2}")
     if t_m1 is not None and t_p1 is not None:
         feats.append(f"t-1,t+1={t_m1}|{t_p1}")
-    if cfg.use_bilexical:
-        w = words[i]
-        if t_m1 is not None:
-            feats.append(f"w0t-1={w}|{t_m1}")
-        if t_p1 is not None:
-            feats.append(f"w0t+1={w}|{t_p1}")
+    w = words[i]
+    if t_m1 is not None:
+        feats.append(f"w0t-1={w}|{t_m1}")
+    if t_p1 is not None:
+        feats.append(f"w0t+1={w}|{t_p1}")
     return feats
 
 

@@ -68,6 +68,9 @@ CANDIDATE_SOURCES = ("all", "lexicon", "lexicon+rules")
 
 @dataclass(frozen=True)
 class TrainOptions:
+    """Training settings.  `seed` is only recorded in `model.meta`: training
+    visits the corpus in order and draws nothing at random."""
+
     epochs: int = 5
     seed: int = 0
     aggressiveness: float = 1.0  # PA cap C
@@ -102,17 +105,17 @@ class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
     training updates, and their average, which decoding reads.
 
-    The file (format 2) is one UTF-8 JSON object holding only what decoding
-    reads: `tags`, `config`, `meta` and the averaged table as compressed
-    sparse rows.  Row r belongs to the feature string `features[r]` and
-    holds the cells `offsets[r]:offsets[r + 1]` of the flat arrays `tag_ids`
-    and `values`.  Only nonzero cells are written, and only features with
-    one.  A loaded model interns `features[r]` as id r and has no raw
-    weights.  Decoding gives the same bits either way: it looks rows up by
-    feature string, and an absent feature, an absent row and a zero cell
-    all add nothing to a score vector that starts at +0.0."""
+    The file (format 3) is one UTF-8 JSON object holding only what decoding
+    reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
+    averaged table as compressed sparse rows.  Row r belongs to the feature
+    string `features[r]` and holds the cells `offsets[r]:offsets[r + 1]` of
+    the flat arrays `tag_ids` and `values`.  Only nonzero cells are written,
+    and only features with one.  A loaded model interns `features[r]` as id
+    r and has no raw weights.  Decoding gives the same bits either way: it
+    looks rows up by feature string, and an absent feature, an absent row
+    and a zero cell all add nothing to a score vector that starts at +0.0."""
 
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
 
     def __init__(self, inventory: TagInventory, cfg: FeatureConfig, meta=None):
         self.inventory = inventory
@@ -295,15 +298,15 @@ class _SentenceScorer:
         self.table = table
         self.grow = grow
         self.T = len(model.inventory)
-        self.cfg = cfg
         self.static_ids = [self._intern(word_features(words, i, cfg, suggested[i]))
                            for i in range(len(words))]
         self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
 
     def _intern(self, feats) -> list[int]:
-        if self.grow:
-            return [self.model.intern(f) for f in feats]
         ids = self.model.feature_ids
+        if self.grow:  # intern only the features not seen yet, in first-seen order
+            intern = self.model.intern
+            return [fid if (fid := ids.get(f)) is not None else intern(f) for f in feats]
         return [fid for f in feats if (fid := ids.get(f)) is not None]
 
     def _add_rows(self, vec: np.ndarray, fids) -> np.ndarray:
@@ -320,7 +323,7 @@ class _SentenceScorer:
         """Position i's score vector in a visible context, and the ids of
         that context's tag features."""
         visible = {j: self.model.inventory.tags[t] for j, t in visible_ids.items()}
-        dynamic = self._intern(tag_features(self.words, i, visible, self.cfg))
+        dynamic = self._intern(tag_features(self.words, i, visible))
         static = self.static_sums.get(i)
         if static is None:
             static = self.static_sums[i] = self.score_vector(self.static_ids[i])

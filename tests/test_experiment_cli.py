@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,14 @@ from morphtag import experiment
 from morphtag.cli import main
 from morphtag.corpus import read_vertical, write_vertical
 from morphtag.errors import ConfigError, DataError, FormatError
+from morphtag.evaluation import evaluate
 from morphtag.experiment import (GridRow, format_results, parse_spec,
                                  run_experiment)
-from morphtag.lexicon import dump_lexicon
-from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
-from morphtag.tagger import Model
+from morphtag.lexicon import dump_lexicon, load_lexicon
+from morphtag.rules import format_rules, parse_rules
+from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
+                                split_corpus)
+from morphtag.tagger import DecodeOptions, Model, decode
 
 SPEC_TEXT = """
 # grid over lexicon features
@@ -193,8 +197,52 @@ class TestCliTrainTag:
                      "--model", str(tmp_path / "m.json"),
                      "--lexicon-features", "on"]) == 3
 
-    # A well-formed format-2 model: one feature with one weight.
-    MODEL = {"format": 2, "tags": ["A", "B"], "config": {}, "meta": {},
+    def test_test_only_rule_filter(self, dataset, tmp_path, capsys):
+        """A model trained with --rules-mode test-only tags with the rules
+        filtering its lexicon features: the tags of a library decode under
+        lexicon_filter="rules", and the accuracies of the grid's test-only
+        row.  Without --rules it cannot tag."""
+        train_corpus = read_vertical((dataset / "train.tsv").read_text(encoding="utf-8"))
+        test_corpus = read_vertical((dataset / "test.tsv").read_text(encoding="utf-8"))
+        lexicon = load_lexicon((dataset / "lex.tsv").read_text(encoding="utf-8"))
+        rules = tmp_path / "rules.dsl"
+        rules.write_text(format_rules(derive_safe_rules(train_corpus, lexicon)),
+                         encoding="utf-8")
+        cascade = parse_rules(rules.read_text(encoding="utf-8"))
+        model_path, out = tmp_path / "model.json", tmp_path / "tagged.tsv"
+        assert main(["train", "--train", str(dataset / "train.tsv"), "--model", str(model_path),
+                     "--lexicon", str(dataset / "lex.tsv"), "--rules", str(rules),
+                     "--rules-mode", "test-only", "--lexicon-features", "on",
+                     "--epochs", "3"]) == 0
+        tag_argv = ["tag", "--model", str(model_path), "--input", str(dataset / "test.tsv"),
+                    "--output", str(out), "--lexicon", str(dataset / "lex.tsv")]
+        assert main(tag_argv + ["--rules", str(rules)]) == 0
+        tagged = [[tok.gold_tag for tok in s.tokens]
+                  for s in read_vertical(out.read_text(encoding="utf-8")).sentences]
+
+        model = Model.load(model_path)
+        assert model.cfg.lexicon_filter == "none"
+        cfg = replace(model.cfg, lexicon_filter="rules")
+        filtered = [decode(s, model, lexicon, cascade, DecodeOptions(), cfg)
+                    for s in test_corpus]
+        assert tagged == [tags for tags, _ in filtered]
+        # The filter reaches the lexicon features: decoding without it scores
+        # differently.
+        assert filtered != [decode(s, model, lexicon, cascade) for s in test_corpus]
+
+        spec = parse_spec(f"train=train.tsv\ntest=test.tsv\nlexicon=lex.tsv\nrules={rules}\n"
+                          "epochs=3\nrow: id=5 lexicon_features=on rule_filter=test-only\n",
+                          base_dir=str(dataset))
+        [(_, sentence_acc, token_acc)] = run_experiment(spec)
+        report = evaluate(test_corpus, tagged, {tok.surface for tok in train_corpus.tokens()})
+        assert (report.sentence_accuracy, report.token_accuracy) == (sentence_acc, token_acc)
+
+        capsys.readouterr()
+        assert main(tag_argv) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    # A well-formed format-3 model: one feature with one weight.
+    MODEL = {"format": 3, "tags": ["A", "B"], "config": {}, "meta": {},
              "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1], "values": [1.0]}
     # Each broken model is MODEL with these fields replaced; None drops one.
     BROKEN_MODELS = {
@@ -203,6 +251,9 @@ class TestCliTrainTag:
         "model-wrong-type": {"tags": 5},
         "model-tag-not-string": {"tags": [{"A": 1}, "B"]},
         "model-unknown-config-key": {"config": {"nope": 1}},
+        # Template settings of format 2, which are fixed now.
+        "model-removed-config-key": {"config": {"max_affix_len": 2.5}},
+        "model-config-flag-not-bool": {"config": {"use_lexicon_features": "no"}},
         "model-nan-weight": {"values": [float("nan")]},
         "model-offsets-end-short": {"offsets": [0, 1], "tag_ids": [0, 1],
                                     "values": [1.0, 2.0]},
@@ -215,9 +266,13 @@ class TestCliTrainTag:
         "model-null-value": {"values": [None]},
         "model-nested-value": {"values": [[1.0]]},
         "model-float-tag-id": {"tag_ids": [1.0]},
-        # A well-formed format-1 file: it has to be retrained.
+        # Well-formed files of older formats: they have to be retrained.
         "model-format-1": {"format": 1, "features": {"w0=a": 0},
                            "weights": {"0": {"1": 1.0}}, "averaged": {"0": {"1": 1.0}}},
+        "model-format-2": {"format": 2, "config": {
+            "max_affix_len": 9, "use_lexicon_features": True, "lexicon_filter": "none",
+            "use_affixes": True, "use_ortho": True, "use_context_words": True,
+            "use_tag_context": True, "use_bilexical": True, "use_word_bigrams": True}},
     }
 
     def test_well_formed_model_tags(self, tmp_path):
@@ -246,7 +301,7 @@ class TestCliTrainTag:
         corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
         model = tmp_path / "model.json"
         if case == "model-not-json":
-            model.write_text('{"format": 2, "tags": ["A", "B"', encoding="utf-8")
+            model.write_text('{"format": 3, "tags": ["A", "B"', encoding="utf-8")
         elif case in self.BROKEN_MODELS:
             fields = {**self.MODEL, **self.BROKEN_MODELS[case]}
             model.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}),
@@ -278,7 +333,10 @@ class TestCliTrainTag:
             argv = ["tag", "--model", str(model), "--input", str(corpus),
                     "--output", str(tmp_path / "out.tsv")]
         assert main(argv) == expected
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        if case == "model-format-2":
+            assert lines[0].endswith("unsupported model format 2")
 
 
 class TestCliBaseline:

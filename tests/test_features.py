@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from conftest import make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import ConfigError
-from morphtag.features import FeatureConfig, suggested_tags, tag_features, word_features
+from morphtag.features import (MAX_AFFIX_LEN, FeatureConfig, suggested_tags, tag_features,
+                               word_features)
 from morphtag.rules import apply_cascade, parse_rules
 
 words_strategy = st.lists(st.text(alphabet="абвгд-5A", min_size=1, max_size=6),
@@ -18,24 +19,30 @@ def sent(*surfaces):
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = FeatureConfig(max_affix_len=4, use_ortho=False)
+        cfg = FeatureConfig(use_lexicon_features=False, lexicon_filter="rules")
+        assert cfg.to_dict() == {"use_lexicon_features": False, "lexicon_filter": "rules"}
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
-            FeatureConfig(max_affix_len=0)
-        with pytest.raises(ConfigError):
             FeatureConfig(lexicon_filter="bogus")
+        for flag in ("no", 0, 1, None):
+            with pytest.raises(ConfigError):
+                FeatureConfig(use_lexicon_features=flag)
 
 
 class TestWordFeatures:
     def test_affix_lengths_bounded(self):
-        cfg = FeatureConfig(max_affix_len=3, use_lexicon_features=False)
-        feats = word_features(["неочаквано"], 0, cfg)
+        cfg = FeatureConfig(use_lexicon_features=False)
+        word = "неочакваното"  # 12 characters
+        feats = word_features([word], 0, cfg)
+        assert MAX_AFFIX_LEN == 9
         prefixes = [f for f in feats if f.startswith("pre")]
-        assert prefixes == ["pre1=н", "pre2=не", "pre3=нео"]
+        assert prefixes == [f"pre{k}={word[:k]}" for k in range(1, 10)]
+        assert prefixes[-1] == "pre9=неочакван"
         suffixes = [f for f in feats if f.startswith("suf")]
-        assert suffixes == ["suf1=о", "suf2=но", "suf3=ано"]
+        assert suffixes == [f"suf{k}={word[-k:]}" for k in range(1, 10)]
+        assert suffixes[-1] == "suf9=чакваното"
 
     def test_short_word_affixes_capped_by_length(self):
         cfg = FeatureConfig(use_lexicon_features=False)
@@ -62,39 +69,39 @@ class TestWordFeatures:
         feats = word_features(["х"], 0, FeatureConfig(), suggested=None)
         assert "lex=<unk>" in feats
 
-    def test_groups_toggle_off(self):
-        cfg = FeatureConfig(use_affixes=False, use_ortho=False,
-                            use_context_words=False, use_word_bigrams=False,
-                            use_lexicon_features=False)
-        assert word_features(["По-5"], 0, cfg) == ["w0=По-5"]
+    def test_fixed_templates(self):
+        cfg = FeatureConfig(use_lexicon_features=False)
+        assert word_features(["По-5"], 0, cfg) == [
+            "w0=По-5", "w-1=<s>", "w-2=<s>", "w+1=</s>", "w+2=</s>",
+            "pre1=П", "suf1=5", "pre2=По", "suf2=-5", "pre3=По-", "suf3=о-5",
+            "pre4=По-5", "suf4=По-5", "ortho=digit", "ortho=hyphen", "ortho=init-upper",
+            "wb-1=<s>|По-5", "wb+1=По-5|</s>"]
 
 
 class TestTagFeatures:
     def test_empty_when_nothing_assigned(self):
-        assert tag_features(["а", "б"], 0, {}, FeatureConfig()) == []
+        assert tag_features(["а", "б"], 0, {}) == []
 
     def test_distant_neighbour_visible(self):
-        feats = tag_features(["а", "б", "в"], 2, {0: "X"}, FeatureConfig())
+        feats = tag_features(["а", "б", "в"], 2, {0: "X"})
         assert feats == ["t-2=X"]
 
     def test_pair_templates(self):
-        feats = tag_features(["а", "б", "в"], 1, {0: "X", 2: "Y"},
-                             FeatureConfig())
+        feats = tag_features(["а", "б", "в"], 1, {0: "X", 2: "Y"})
         assert "t-1,t+1=X|Y" in feats
         assert "w0t-1=б|X" in feats and "w0t+1=б|Y" in feats
 
     @settings(max_examples=60)
     @given(words_strategy, st.data())
     def test_monotone_in_assignment(self, words, data):
-        cfg = FeatureConfig()
         i = data.draw(st.integers(0, len(words) - 1))
         others = [j for j in range(len(words)) if j != i]
         assigned = data.draw(st.lists(st.sampled_from(others or [0]),
                                       unique=True) if others else st.just([]))
         tags = {j: f"T{j}" for j in assigned}
-        full = set(tag_features(words, i, tags, cfg))
+        full = set(tag_features(words, i, tags))
         sub = {j: t for j, t in tags.items() if j in set(assigned[:1])}
-        assert set(tag_features(words, i, sub, cfg)) <= full
+        assert set(tag_features(words, i, sub)) <= full
 
 
 class TestSuggestedTags:

@@ -2,20 +2,26 @@
 (perfbench/workloads.py, `install_tracing`), and calls the CLI on broken
 files it writes itself.  A rename or move of one of those names, or a
 change that makes a CLI operation fail, must fail here, not only in a
-benchmark run."""
+benchmark run.  So must a change to a keyword or option that perfbench
+passes: `test_benchmark_runs` runs every workload on tiny inputs."""
 
 import contextlib
 import importlib.util
+import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from morphtag.features import FeatureConfig
 from morphtag.synthetic import SyntheticConfig, derive_safe_rules, generate_synthetic
 from morphtag.tagger import DecodeOptions, TrainOptions, decode_with_trace, train
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 class _LookupTracer:
@@ -124,3 +130,17 @@ def test_cli_edge_operations_pass(monkeypatch, tmp_path):
                 for name, argv, expected in workloads.cli_edge_cases(str(tmp_path))}
     assert len(outcomes) == 5
     assert all(ok for ok, _ in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_benchmark_runs(workload):
+    """Each benchmark workload runs end to end on tiny inputs, so a renamed
+    or removed keyword that perfbench passes to the program fails here."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--tiny", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, run.stdout

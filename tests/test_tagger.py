@@ -490,27 +490,27 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "00fdd9013dab707425a7bb036d1b47c55e1bd6300fe99c0bc2a5ca4e3f0861e9",
+            "b4f6f12554cae24492f7296ca5b47eb5b6cae02bee1da5edaadcf40122da7081",
             "479bc9bdeffdef12fb3b59a099652d3c0d1a05e4a322afc4a7c8617e864f19a3",
             "d95eacd3d4502accbb26c1d7aaaaa6cfe29ca4dfae614923ff891f155839bf0f",
             "31685ee140b10ea67b3ddf216996cb4dbdbb26245f5069a87d5b603c90344daa")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "7fe4d0f838c1e03abf9f37d3e3fe4ceeeaa301662cc2bd39edf63d2dde9bc74d",
+            "5063a827481d68f6f373f0e0c9d2b68da466d604640897b924498dbd4c9083f4",
             "7e43f012e3dd86dfde6fe91d9b83e8b2bb2d339c91dc37e5cef94358a0ed15bb",
             "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1",
             "5e51297594a3832599c7798ad4dc94e9a9b46c74970385746586e9b32418f66e")),
         "lexicon-oov": ("lexicon", False, (
-            "3d3d456ad2040d61530ee3847e059b9654b6fe6bc355d7eb1bf8476f54b633e5",
+            "d531e5b2f033180ad9085bf4b318cc3de0fbf79087e74ede165f47a2360ef852",
             "71786aef8e071a76037450e45664c7aeb7f5069b8049b46d0c38f9608350274e",
             "6f6e1f274e67ad1962645c726565fe5aaecb2f23aff2797e2f2a7e8e42b703a2",
             "31b361af631eafff0deaba953dd247d77cc69a3f1cc6e8ebd2cc86fedea7a47d")),
         "all-ties": ("all", False, (
-            "18c11bb121382b05cb3aa466adddfab5939677ab395b02cc3c61c07450f4a4c3",
+            "7c8c03b6aa259615c3067b4c446ff75a1991a74943615ef8d9d0032a399c2492",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "8165126f266a86fd4a9d2edd450ab8b0ae09e72fee518d876ceab83a93b1165e",
+            "a5467f0e21e717e693c2457331b5c30f51afc2ef95f55d636fe3eea92a391684",
             "9b06f2d7853e01d625518d8c8d8a8611b596eedcdae477e1d0191f4c033deec7",
             "af98de1cfdf85fa73876ee554d0b0e6f1028ddfd5a766f3ff1fd2b26761e4a5d",
             "5e43905bd4ffc310f741e9a791706d278f432e6bc3f351fd0a620139a03b26e2")),
