@@ -89,6 +89,11 @@ def _cmd_tag(args):
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
     cfg = model.cfg
+    if cfg.use_lexicon_features and lexicon is None:
+        raise ConfigError("model was trained with lexicon features; pass --lexicon")
+    if cfg.lexicon_filter == "rules" and rules is None:
+        raise ConfigError("model was trained with rule-filtered lexicon features "
+                          "(--rules-mode soft); pass --rules")
     if model.meta.get("rules_mode") == "test-only":
         if rules is None:
             raise ConfigError("model was trained for test-only rule filtering; "

@@ -6,9 +6,14 @@ blank line ends a sentence.  UTF-8, LF canonical (CRLF tolerated on read).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, DataError, FormatError
+
+
+# `\s` matches exactly the characters for which str.isspace() is true.
+_has_space = re.compile(r"\s").search
 
 
 @dataclass(frozen=True)
@@ -17,7 +22,7 @@ class Token:
     gold_tag: str | None = None
 
     def __post_init__(self):
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        if not self.surface or _has_space(self.surface):
             raise ValueError(f"bad token surface {self.surface!r}")
 
 

@@ -24,8 +24,12 @@ token under `all` candidates, out-of-lexicon tokens under `lexicon`) is
 searched with whole-row numpy operations: one argmax finds its best tag,
 and a commit keeps only each hypothesis pair's top B tags by (-score, tag
 id) before the merge sort, which is exact because the hypotheses of one
-pair share their outer tags.  Shorter candidate lists keep per-tag Python
-loops, which are faster for the one to three tags a lexicon usually gives.
+pair share their outer tags.  The commit finds them without sorting: B
+argmax picks over a fresh array of the pair's sums, each picked cell set to
+-inf before the next pick.  A pick that is not finite (a sum that
+overflowed) falls back to a stable argsort of the pair's sums.  Shorter
+candidate lists keep per-tag Python loops, which are faster for the one to
+three tags a lexicon usually gives.
 
 A callback decides each commit.  Decoding records a trace step and keeps
 every candidate tag.  Training is beam-1: it commits the gold tag when the
@@ -51,6 +55,7 @@ the cascade as the full inventory and suggests no tags.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -398,6 +403,31 @@ def _entry(pairs, ids, T: int) -> tuple:
     return best, best_c, best_pair, pairs
 
 
+def _top_tags(scores: np.ndarray, beam: int) -> list[tuple[float, int]]:
+    """The top `beam` (score, tag id) pairs of `scores`, best first: the ids
+    of argmax at beam 1, and of np.argsort(-scores, kind="stable")[:beam]
+    above it, for any float input.
+
+    Each pick is an argmax (the first maximum, so the lowest tag id among
+    ties) and then sets its cell to -inf, so `scores` is overwritten.  A
+    masked cell ranks below every finite pick.  A pick that is not finite
+    (an overflowed sum, or NaN, which argmax ranks first and the sort last)
+    may not rank as the sort would, so above beam 1 the picked cells are
+    restored and the stable sort decides."""
+    top = []
+    for _ in range(min(beam, len(scores))):
+        c = int(scores.argmax())
+        s = float(scores[c])
+        if beam > 1 and not math.isfinite(s):
+            for s0, c0 in top:
+                scores[c0] = s0
+            order = np.argsort(-scores, kind="stable")[:beam].tolist()
+            return [(float(scores[c]), c) for c in order]
+        top.append((s, c))
+        scores[c] = -np.inf
+    return top
+
+
 def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
     """Bring every cache entry up to date after the table changed in
     columns g and c only; the same as rescoring every cached position."""
@@ -460,13 +490,10 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
             ltags = lh[1] if lh else ()
             rtags = rh[1] if rh else ()
             if len(keep) == scorer.T:
-                scores = base + vec  # the same float sums as the loop below
-                if beam == 1:
-                    best = [int(scores.argmax())]
-                else:
-                    best = np.argsort(-scores, kind="stable")[:beam].tolist()
-                for c in best:
-                    merged.append((float(scores[c]), ltags + (c,) + rtags))
+                # The same float sums as the loop below, in a fresh array
+                # that _top_tags may overwrite.
+                for s, c in _top_tags(base + vec, beam):
+                    merged.append((s, ltags + (c,) + rtags))
             else:
                 for c in keep:
                     merged.append((base + float(vec[c]), ltags + (c,) + rtags))
@@ -565,7 +592,14 @@ class UpdateRecord:
 
 
 class _AveragedAccumulator:
-    """Running sum of post-update weight snapshots, maintained lazily."""
+    """Running sum of post-update weight snapshots, maintained lazily.
+
+    A row must be touched before its first change, and an absent row counts
+    as zero: a first touch only records the update count, since the row was
+    absent, so zero, in every earlier snapshot.  A sum is created at the
+    first credit, not as a zero row, yet each cell gets the float
+    operations of a sum started from a zero row: the new sum adds 0.0,
+    which turns a -0.0 cell into the +0.0 that 0.0 + -0.0 gives."""
 
     def __init__(self, T: int):
         self.T = T
@@ -573,24 +607,33 @@ class _AveragedAccumulator:
         self.last: dict[int, int] = {}
         self.k = 0  # number of updates so far
 
+    @staticmethod
+    def _credit(acc: np.ndarray | None, row: np.ndarray, pending: int) -> np.ndarray:
+        """acc + row * pending, in place; None stands for a zero row."""
+        credit = row * pending
+        if acc is None:
+            credit += 0.0
+            return credit
+        acc += credit
+        return acc
+
     def touch(self, fid: int, row: np.ndarray):
         """Credit pending snapshots for fid before it changes in update k+1."""
-        pending = self.k - self.last.get(fid, 0)
-        if pending:
-            acc = self.acc.get(fid)
-            if acc is None:
-                acc = self.acc[fid] = np.zeros(self.T)
-            acc += row * pending
+        last = self.last.get(fid)
         self.last[fid] = self.k
+        if last is not None and last != self.k:
+            self.acc[fid] = self._credit(self.acc.get(fid), row, self.k - last)
 
     def finalize(self, weights: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """The averaged rows.  Each accumulated sum leaves the accumulator
+        and is finished in place."""
         if self.k == 0:
             return {}
         out = {}
         for fid, row in weights.items():
-            acc = self.acc.get(fid, np.zeros(self.T)).copy()
-            acc += row * (self.k - self.last.get(fid, 0))
-            out[fid] = acc / self.k
+            acc = out[fid] = self._credit(self.acc.pop(fid, None), row,
+                                          self.k - self.last.get(fid, 0))
+            acc /= self.k
         return out
 
 

@@ -3,9 +3,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from morphtag.corpus import read_vertical, stats, write_vertical
+from morphtag.corpus import Token, read_vertical, stats, write_vertical
 from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
+
+
+class TestToken:
+    def test_whitespace_is_str_isspace_over_every_code_point(self):
+        """A surface is rejected exactly when a character of it is
+        whitespace by str.isspace, at every position in the surface."""
+        rejected = []
+        for cp in range(0x110000):
+            ch = chr(cp)
+            try:
+                Token(f"a{ch}")
+            except ValueError:
+                rejected.append(ch)
+        assert rejected == [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+        for ch in rejected:
+            for surface in (ch, f"{ch}a", f"a{ch}b"):
+                with pytest.raises(ValueError):
+                    Token(surface)
+
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError):
+            Token("")
 
 
 class TestReadVertical:

@@ -241,9 +241,42 @@ class TestCliTrainTag:
         assert main(tag_argv) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    # A well-formed format-3 model: one feature with one weight.
-    MODEL = {"format": 3, "tags": ["A", "B"], "config": {}, "meta": {},
-             "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1], "values": [1.0]}
+    @pytest.mark.parametrize("train_flags, missing", [
+        (["--lexicon-features", "on"], "--lexicon"),
+        (["--lexicon-features", "on", "--rules-mode", "soft"], "--rules"),
+    ])
+    def test_tag_needs_inputs_the_model_was_trained_with(
+            self, dataset, tmp_path, capsys, train_flags, missing):
+        """A model with lexicon features cannot tag without --lexicon, nor
+        one whose features were rule-filtered (--rules-mode soft) without
+        --rules: exit 3 with one line, and no output written.  With the
+        input it tags."""
+        rules = tmp_path / "rules.dsl"
+        rules.write_text(format_rules(derive_safe_rules(
+            read_vertical((dataset / "train.tsv").read_text(encoding="utf-8")),
+            load_lexicon((dataset / "lex.tsv").read_text(encoding="utf-8")))),
+            encoding="utf-8")
+        inputs = {"--lexicon": str(dataset / "lex.tsv"), "--rules": str(rules)}
+        model, out = tmp_path / "model.json", tmp_path / "tagged.tsv"
+        assert main(["train", "--train", str(dataset / "train.tsv"), "--model", str(model),
+                     "--lexicon", inputs["--lexicon"], "--rules", inputs["--rules"],
+                     "--epochs", "1", *train_flags]) == 0
+        tag_argv = ["tag", "--model", str(model), "--input", str(dataset / "test.tsv"),
+                    "--output", str(out)]
+        given = [arg for flag, path in inputs.items() if flag != missing
+                 for arg in (flag, path)]
+        capsys.readouterr()
+        assert main(tag_argv + given) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and missing in err[0]
+        assert not out.exists()
+        assert main(tag_argv + given + [missing, inputs[missing]]) == 0
+
+    # A well-formed format-3 model: one feature with one weight.  It has no
+    # lexicon features, so it tags without --lexicon.
+    MODEL = {"format": 3, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
+             "meta": {}, "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1],
+             "values": [1.0]}
     # Each broken model is MODEL with these fields replaced; None drops one.
     BROKEN_MODELS = {
         "model-tag-id-out-of-range": {"tag_ids": [5]},

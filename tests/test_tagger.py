@@ -19,7 +19,7 @@ from morphtag.rules import RuleCascade, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
 from morphtag.tagger import (DecodeOptions, Model, TrainOptions,
-                             _AveragedAccumulator, _lexicon_pass, decode,
+                             _AveragedAccumulator, _lexicon_pass, _top_tags, decode,
                              decode_with_trace, rescore, train)
 from morphtag.tagset import TagInventory
 
@@ -145,6 +145,126 @@ class TestAveragedAccumulator:
     def test_no_updates_empty(self):
         acc = _AveragedAccumulator(2)
         assert acc.finalize({0: np.ones(2)}) == {}
+
+    def test_first_touch_credits_nothing(self):
+        acc = _AveragedAccumulator(3)
+        acc.k = 4
+        acc.touch(7, np.zeros(3))
+        assert acc.acc == {} and acc.last == {7: 4}
+
+    class _Dense:
+        """Every row's sum starts as a zero row at its first touch: the
+        float operations the accumulator must reproduce, cell for cell."""
+
+        def __init__(self, T):
+            self.T, self.acc, self.last, self.k = T, {}, {}, 0
+
+        def touch(self, fid, row):
+            pending = self.k - self.last.get(fid, 0)
+            if pending:
+                self.acc.setdefault(fid, np.zeros(self.T))
+                self.acc[fid] += row * pending
+            self.last[fid] = self.k
+
+        def finalize(self, weights):
+            out = {}
+            for fid, row in weights.items():
+                acc = self.acc.get(fid, np.zeros(self.T)).copy()
+                acc += row * (self.k - self.last.get(fid, 0))
+                out[fid] = acc / self.k
+            return out
+
+    def test_row_changed_in_last_update_has_no_negative_zero(self):
+        """A row first touched at the final update count and changed after
+        it finalizes with nothing pending: its negative cells times 0 are
+        -0.0, which a sum from a zero row turns into +0.0."""
+        acc, dense = _AveragedAccumulator(3), self._Dense(3)
+        row = np.zeros(3)
+        for a in (acc, dense):
+            a.k = 3
+            a.touch(1, row)
+        row[:] = [-1.5, 0.0, 2.0]
+        averaged = acc.finalize({1: row})[1]
+        assert averaged.tobytes() == dense.finalize({1: row})[1].tobytes()
+        assert not np.signbit(averaged).any()
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 31), st.booleans())
+    def test_same_bytes_as_sums_from_zero_rows(self, seed, pending_at_end):
+        """Rows with -0.0 and negative cells, touched at any update count,
+        average to the same bytes as sums started from zero rows."""
+        rng = random.Random(seed)
+        T = 3
+        cells = [0.0, -0.0, -1.0, 1.0, -2.5, 0.75]
+        acc, dense = _AveragedAccumulator(T), self._Dense(T)
+        weights = {}
+        for _ in range(rng.randint(1, 30)):
+            for fid in rng.sample(range(4), rng.randint(1, 3)):
+                row = weights.setdefault(fid, np.zeros(T))
+                acc.touch(fid, row)
+                dense.touch(fid, row)
+                row[rng.randrange(T)] = rng.choice(cells)
+            acc.k += 1
+            dense.k += 1
+        if pending_at_end:  # the last touches changed rows after the last update
+            for fid in weights:
+                acc.touch(fid, weights[fid])
+                dense.touch(fid, weights[fid])
+                weights[fid][rng.randrange(T)] = rng.choice(cells)
+        expect = dense.finalize(weights)
+        got = acc.finalize(weights)
+        assert {f: r.tobytes() for f, r in got.items()} == \
+            {f: r.tobytes() for f, r in expect.items()}
+
+
+class TestTopTags:
+    """_top_tags returns the ids of argmax at beam 1 and of the stable
+    argsort of -scores above it, and the scores of those cells."""
+
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan,
+                                      1e308, -1e308]),
+                     st.floats())
+
+    @settings(max_examples=400)
+    @given(st.lists(cell, min_size=1, max_size=8), st.integers(1, 10))
+    def test_argmax_and_stable_argsort(self, cells, beam):
+        scores = np.array(cells)
+        if beam == 1:
+            expect = [int(scores.argmax())]
+        else:
+            expect = np.argsort(-scores, kind="stable")[:beam].tolist()
+        top = _top_tags(scores.copy(), beam)
+        assert [c for _, c in top] == expect
+        assert np.array([s for s, _ in top]).tobytes() == scores[expect].tobytes()
+
+    def test_many_ties_resolve_by_tag_id(self):
+        scores = np.array([1.0, 3.0, 3.0, -0.0, 3.0, 0.0, 1.0])
+        assert _top_tags(scores.copy(), 4) == [(3.0, 1), (3.0, 2), (3.0, 4), (1.0, 0)]
+        assert _top_tags(scores.copy(), 1) == [(3.0, 1)]
+
+    def test_overflowed_sums_fall_back_to_the_sort(self):
+        scores = np.array([1.0, -np.inf, np.nan, -np.inf, np.inf])
+        assert [c for _, c in _top_tags(scores.copy(), 3)] == [4, 0, 1]
+        assert [c for _, c in _top_tags(scores.copy(), 1)] == [2]  # argmax ranks NaN first
+        assert [c for _, c in _top_tags(np.array([2.0, -np.inf, -np.inf]), 3)] == [0, 1, 2]
+
+    def test_search_same_as_with_a_copying_selection(self, monkeypatch):
+        """Beam-3 decoding over the full inventory, on weights rounded so
+        that many tags tie, gives the same output when the selection works
+        on a copy of each pair's sums."""
+        corpus, lex = small_setup(seed=5, sentences=30, tags=10, vocab=60)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        for row in model.averaged.values():
+            np.round(row * 5, out=row)
+
+        def outputs():
+            return repr([decode_with_trace(s, model, lex, dopts=DecodeOptions(beam_size=3))
+                         for s in corpus.sentences])
+        fast = outputs()
+        top_tags = tagger_mod._top_tags
+        monkeypatch.setattr(tagger_mod, "_top_tags",
+                            lambda scores, beam: top_tags(scores.copy(), beam))
+        assert outputs() == fast
 
 
 class TestDecoding:
