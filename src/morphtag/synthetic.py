@@ -7,6 +7,7 @@ lexicon tags.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -98,7 +99,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[Corpus, Lexi
 
 
 def split_corpus(corpus: Corpus, fractions: tuple[float, ...]) -> list[Corpus]:
-    """Split by sentence into contiguous parts; fractions must sum to 1."""
+    """Split by sentence into contiguous parts; fractions must be finite,
+    non-negative and sum to 1."""
+    if not all(0 <= f < math.inf for f in fractions):
+        raise ConfigError(f"split fractions must be finite and >= 0, not {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions sum to {sum(fractions)}, not 1")
     n = len(corpus.sentences)

@@ -31,11 +31,11 @@ overflowed) falls back to a stable argsort of the pair's sums.  Shorter
 candidate lists keep per-tag Python loops, which are faster for the one to
 three tags a lexicon usually gives.
 
-A callback decides each commit.  Decoding records a trace step and keeps
-every candidate tag.  Training is beam-1: it commits the gold tag when the
-best action is gold, or once the sentence has spent its update budget;
-otherwise a passive-aggressive update promotes the gold action and demotes
-the predicted one with step size
+A callback decides each commit.  Decoding keeps every candidate tag, and
+`decode_with_trace` also records a trace step.  Training is beam-1: it
+commits the gold tag when the best action is gold, or once the sentence has
+spent its update budget; otherwise a passive-aggressive update promotes the
+gold action and demotes the predicted one with step size
 tau = min(C, (margin + s_pred - s_gold) / ||delta features||^2), and the
 step is repeated.  The update changes only the gold and predicted columns of
 the raw weights, so before the repeat those two columns of every cached
@@ -54,6 +54,7 @@ the cascade as the full inventory and suggests no tags.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections import Counter
@@ -85,10 +86,12 @@ class TrainOptions:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.aggressiveness <= 0:
-            raise ConfigError("aggressiveness cap C must be > 0")
-        if self.margin <= 0:
-            raise ConfigError("margin must be > 0")
+        # Written so that NaN fails: every comparison with NaN is false.
+        # C = inf (uncapped steps) is allowed.
+        if not self.aggressiveness > 0:
+            raise ConfigError(f"aggressiveness cap C must be > 0, not {self.aggressiveness}")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and > 0, not {self.margin}")
         if self.candidate_source not in CANDIDATE_SOURCES:
             raise ConfigError(f"unknown candidate_source {self.candidate_source!r}")
 
@@ -110,17 +113,20 @@ class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
     training updates, and their average, which decoding reads.
 
-    The file (format 3) is one UTF-8 JSON object holding only what decoding
+    The file (format 4) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
     averaged table as compressed sparse rows.  Row r belongs to the feature
     string `features[r]` and holds the cells `offsets[r]:offsets[r + 1]` of
-    the flat arrays `tag_ids` and `values`.  Only nonzero cells are written,
-    and only features with one.  A loaded model interns `features[r]` as id
-    r and has no raw weights.  Decoding gives the same bits either way: it
-    looks rows up by feature string, and an absent feature, an absent row
-    and a zero cell all add nothing to a score vector that starts at +0.0."""
+    the flat integer array `tag_ids` and of `values`.  `values` is one ASCII
+    string, the base64 of the cells as little-endian float64, so the bits
+    read back exactly without printing or parsing float text.  Only nonzero
+    cells are written, and only features with one.  A loaded model interns
+    `features[r]` as id r and has no raw weights.  Decoding gives the same
+    bits either way: it looks rows up by feature string, and an absent
+    feature, an absent row and a zero cell all add nothing to a score vector
+    that starts at +0.0."""
 
-    FORMAT_VERSION = 3
+    FORMAT_VERSION = 4
 
     def __init__(self, inventory: TagInventory, cfg: FeatureConfig, meta=None):
         self.inventory = inventory
@@ -141,14 +147,17 @@ class Model:
         names = {fid: f for f, fid in self.feature_ids.items()}
         features, offsets, tag_ids, values = [], [0], [], []
         for fid, row in self.averaged.items():
-            # flatnonzero skips -0.0 too, so no zero cell is written.
-            nz = np.flatnonzero(row)
+            # nonzero skips -0.0 too, so no zero cell is written.
+            nz = row.nonzero()[0]
             if nz.size:
                 features.append(names[fid])
                 tag_ids += nz.tolist()
-                # Python floats, whose repr reads back as the same bits.
+                # Python floats, not one array per row: thousands of small
+                # arrays alive at once fragment the heap that the next load's
+                # table reuses.
                 values += row[nz].tolist()
                 offsets.append(len(values))
+        values = np.array(values, dtype="<f8").tobytes()
         payload = {
             "format": self.FORMAT_VERSION,
             "tags": self.inventory.tags,
@@ -157,7 +166,7 @@ class Model:
             "features": features,
             "offsets": offsets,
             "tag_ids": tag_ids,
-            "values": values,
+            "values": base64.b64encode(values).decode("ascii"),
         }
         # json.dumps runs the C encoder; json.dump to a file does not.
         text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
@@ -169,7 +178,8 @@ class Model:
 
     # Top-level fields of a model file and their JSON types; "meta" may be absent.
     _FIELDS = {"tags": list, "config": dict, "meta": dict, "features": list,
-               "offsets": list, "tag_ids": list, "values": list}
+               "offsets": list, "tag_ids": list, "values": str}
+    _JSON_TYPES = {list: "array", dict: "object", str: "string"}
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -184,7 +194,7 @@ class Model:
         for key, kind in cls._FIELDS.items():
             if not isinstance(payload.get(key), kind):
                 raise DataError(f"{path}: model field {key!r} is missing or not "
-                                f"a JSON {'array' if kind is list else 'object'}")
+                                f"a JSON {cls._JSON_TYPES[kind]}")
 
         def malformed(problem):
             return DataError(f"{path}: malformed model: {problem}")
@@ -194,28 +204,43 @@ class Model:
         # not numbers here.
         for key, types, kind in (("tags", {str}, "a string"), ("features", {str}, "a string"),
                                  ("offsets", {int}, "an integer"),
-                                 ("tag_ids", {int}, "an integer"),
-                                 ("values", {int, float}, "a number")):
+                                 ("tag_ids", {int}, "an integer")):
             if set(map(type, payload[key])) - types:
                 raise malformed(f"an element of {key!r} is not {kind}")
         features = payload["features"]
         if len(set(features)) != len(features):
             raise malformed("a feature is repeated")
         # A bad tag or config (an invalid or repeated tag, an unknown config
-        # key) surfaces as one of these while the model is built, and an
-        # integer too large for the arrays as OverflowError.
+        # key) surfaces as one of these while the model is built.
         try:
             model = cls(TagInventory(payload["tags"]),
                         FeatureConfig.from_dict(payload["config"]), payload["meta"])
-            offsets = np.array(payload["offsets"], dtype=np.int64)
-            tag_ids = np.array(payload["tag_ids"], dtype=np.int64)
-            values = np.array(payload["values"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise malformed(exc) from None
         R, T = len(features), len(model.inventory)
-        if len(offsets) != R + 1 or len(tag_ids) != len(values):
-            raise malformed(f"{R} features need {R + 1} offsets and as many tag ids as "
-                            f"values, not {len(offsets)}, {len(tag_ids)} and {len(values)}")
+        # The table comes before the arrays below: a process that loads
+        # models in turn can then reuse the heap block the last table left,
+        # which smaller arrays allocated first could split.
+        matrix = np.zeros((R, T))
+        # validate=True rejects every character outside the base64 alphabet;
+        # text that is not ASCII raises ValueError too.
+        try:
+            raw = base64.b64decode(payload["values"], validate=True)
+        except ValueError as exc:
+            raise malformed(f"'values' is not base64: {exc}") from None
+        if len(raw) % 8:
+            raise malformed(f"'values' holds {len(raw)} bytes, not a multiple of 8")
+        values = np.frombuffer(raw, dtype="<f8")
+        try:  # the elements are integers, but may not fit in int64
+            offsets = np.array(payload["offsets"], dtype=np.int64)
+            tag_ids = np.array(payload["tag_ids"], dtype=np.int64)
+        except OverflowError as exc:
+            raise malformed(exc) from None
+        if len(values) != len(tag_ids):
+            raise malformed(f"'values' holds {len(values)} cells, not the "
+                            f"{len(tag_ids)} of 'tag_ids'")
+        if len(offsets) != R + 1:
+            raise malformed(f"{R} features need {R + 1} offsets, not {len(offsets)}")
         if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
             raise malformed(f"offsets do not rise from 0 to the {len(values)} values")
         if np.any((tag_ids < 0) | (tag_ids >= T)):
@@ -223,8 +248,7 @@ class Model:
         # numpy would store NaN, which the search's argmax and its
         # comparisons disagree on.
         if not np.all(np.isfinite(values)):
-            raise malformed("a weight is not finite")
-        matrix = np.zeros((R, T))
+            raise malformed("a cell of 'values' is not finite")
         matrix[np.repeat(np.arange(R), np.diff(offsets)), tag_ids] = values
         model.feature_ids = dict(zip(features, range(R)))
         model.averaged = dict(enumerate(matrix))
@@ -520,8 +544,11 @@ def decode(sentence: Sentence, model: Model, lexicon: Lexicon | None = None,
            rules: RuleCascade | None = None,
            dopts: DecodeOptions = DecodeOptions(),
            cfg: FeatureConfig | None = None):
-    """Tag one sentence with the averaged weights; returns (tags, score)."""
-    tags, score, _, _ = decode_with_trace(sentence, model, lexicon, rules, dopts, cfg)
+    """Tag one sentence with the averaged weights; returns (tags, score).
+
+    `cfg` overrides the model's feature config at decode time (used for
+    test-only rule filtering of the lexicon features)."""
+    tags, score, _ = _decode(sentence, model, lexicon, rules, dopts, cfg, None)
     return tags, score
 
 
@@ -530,24 +557,29 @@ def decode_with_trace(sentence: Sentence, model: Model,
                       rules: RuleCascade | None = None,
                       dopts: DecodeOptions = DecodeOptions(),
                       cfg: FeatureConfig | None = None):
-    """decode() plus the per-step trace and commit order, for audits.
+    """decode() plus the per-step trace and commit order, for audits."""
+    trace: list[TraceStep] = []
+    tags, score, order = _decode(sentence, model, lexicon, rules, dopts, cfg, trace)
+    return tags, score, trace, order
 
-    `cfg` overrides the model's feature config at decode time (used for
-    test-only rule filtering of the lexicon features)."""
+
+def _decode(sentence, model, lexicon, rules, dopts, cfg, trace):
+    """(tags, score, commit order); a TraceStep per commit is appended to
+    `trace` unless it is None."""
     cfg = model.cfg if cfg is None else cfg
     cand_ids, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, cfg,
                                         dopts.candidate_source, dopts.hard_output_rules)
     scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, cfg, suggested,
                              grow=False)
-    trace: list[TraceStep] = []
 
     def choose(p, c, cache):
-        trace.append(TraceStep(p, c, cache[p][0],
-                               {q: cache[q][0] for q in sorted(cache)}))
+        if trace is not None:
+            trace.append(TraceStep(p, c, cache[p][0],
+                                   {q: cache[q][0] for q in sorted(cache)}))
         return cand_ids[p]
 
     ids, score, order = _search(scorer, cand_ids, dopts.beam_size, choose)
-    return [model.inventory.tags[t] for t in ids], score, trace, order
+    return [model.inventory.tags[t] for t in ids], score, order
 
 
 def rescore(sentence: Sentence, tags, commit_order, model: Model,

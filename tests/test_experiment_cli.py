@@ -1,8 +1,10 @@
+import base64
 import contextlib
 import io
 import json
 import os
 import re
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -22,6 +24,12 @@ from morphtag.rules import format_rules, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
 from morphtag.tagger import DecodeOptions, Model, decode
+
+
+def _b64(*cells) -> str:
+    """The `values` field of a model file holding these cells."""
+    return base64.b64encode(struct.pack(f"<{len(cells)}d", *cells)).decode("ascii")
+
 
 SPEC_TEXT = """
 # grid over lexicon features
@@ -182,6 +190,17 @@ class TestCliTrainTag:
         assert main(["train", "--train", "x.tsv"]) == 3  # --model missing
         assert main(["no-such-command"]) == 3
 
+    @pytest.mark.parametrize("option, value, expected", [
+        ("--aggressiveness", "nan", 3), ("--margin", "nan", 3), ("--margin", "inf", 3),
+        ("--aggressiveness", "inf", 0)])
+    def test_train_option_values(self, option, value, expected, dataset, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--train", str(dataset / "train.tsv"), "--epochs", "1",
+                     option, value, "--model", str(model)]) == expected
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == (expected != 0)
+        assert model.exists() == (expected == 0)
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "none.tsv"),
                      "--model", str(tmp_path / "m.json")]) == 3
@@ -272,11 +291,11 @@ class TestCliTrainTag:
         assert not out.exists()
         assert main(tag_argv + given + [missing, inputs[missing]]) == 0
 
-    # A well-formed format-3 model: one feature with one weight.  It has no
+    # A well-formed format-4 model: one feature with one weight.  It has no
     # lexicon features, so it tags without --lexicon.
-    MODEL = {"format": 3, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
+    MODEL = {"format": 4, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
              "meta": {}, "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1],
-             "values": [1.0]}
+             "values": _b64(1.0)}
     # Each broken model is MODEL with these fields replaced; None drops one.
     BROKEN_MODELS = {
         "model-tag-id-out-of-range": {"tag_ids": [5]},
@@ -287,17 +306,25 @@ class TestCliTrainTag:
         # Template settings of format 2, which are fixed now.
         "model-removed-config-key": {"config": {"max_affix_len": 2.5}},
         "model-config-flag-not-bool": {"config": {"use_lexicon_features": "no"}},
-        "model-nan-weight": {"values": [float("nan")]},
+        "model-nan-weight": {"values": _b64(float("nan"))},
+        "model-inf-weight": {"values": _b64(float("-inf"))},
         "model-offsets-end-short": {"offsets": [0, 1], "tag_ids": [0, 1],
-                                    "values": [1.0, 2.0]},
+                                    "values": _b64(1.0, 2.0)},
         "model-offsets-decrease": {"features": ["w0=a", "w0=b", "w0=c"],
                                    "offsets": [0, 2, 1, 2], "tag_ids": [0, 1],
-                                   "values": [1.0, 2.0]},
+                                   "values": _b64(1.0, 2.0)},
         "model-duplicate-feature": {"features": ["w0=a", "w0=a"], "offsets": [0, 1, 2],
-                                    "tag_ids": [0, 1], "values": [1.0, 2.0]},
+                                    "tag_ids": [0, 1], "values": _b64(1.0, 2.0)},
+        "model-values-count": {"values": _b64(1.0, 2.0)},
+        # `values` as a JSON array, as formats 2 and 3 wrote it.
+        "model-values-list": {"values": [1.0]},
         "model-string-value": {"values": ["1.0"]},
         "model-null-value": {"values": [None]},
         "model-nested-value": {"values": [[1.0]]},
+        # Without validate=True, b64decode would drop the "*" and read 1.0.
+        "model-values-not-base64": {"values": _b64(1.0)[:4] + "*" + _b64(1.0)[4:]},
+        "model-values-not-ascii": {"values": "\u00c4" + _b64(1.0)[1:]},
+        "model-values-length": {"values": _b64(1.0)[:8]},
         "model-float-tag-id": {"tag_ids": [1.0]},
         # Well-formed files of older formats: they have to be retrained.
         "model-format-1": {"format": 1, "features": {"w0=a": 0},
@@ -305,7 +332,9 @@ class TestCliTrainTag:
         "model-format-2": {"format": 2, "config": {
             "max_affix_len": 9, "use_lexicon_features": True, "lexicon_filter": "none",
             "use_affixes": True, "use_ortho": True, "use_context_words": True,
-            "use_tag_context": True, "use_bilexical": True, "use_word_bigrams": True}},
+            "use_tag_context": True, "use_bilexical": True, "use_word_bigrams": True},
+            "values": [1.0]},
+        "model-format-3": {"format": 3, "values": [1.0]},
     }
 
     def test_well_formed_model_tags(self, tmp_path):
@@ -334,7 +363,7 @@ class TestCliTrainTag:
         corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
         model = tmp_path / "model.json"
         if case == "model-not-json":
-            model.write_text('{"format": 3, "tags": ["A", "B"', encoding="utf-8")
+            model.write_text('{"format": 4, "tags": ["A", "B"', encoding="utf-8")
         elif case in self.BROKEN_MODELS:
             fields = {**self.MODEL, **self.BROKEN_MODELS[case]}
             model.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}),
@@ -368,8 +397,10 @@ class TestCliTrainTag:
         assert main(argv) == expected
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        if case == "model-format-2":
-            assert lines[0].endswith("unsupported model format 2")
+        if case in ("model-format-2", "model-format-3"):
+            assert lines[0].endswith(f"unsupported model format {case[-1]}")
+        elif "value" in case or "weight" in case:
+            assert "'values'" in lines[0]
 
 
 class TestCliBaseline:
@@ -478,10 +509,14 @@ class TestCliGenSynthetic:
             text = (tmp_path / f"c.tsv.{part}").read_text()
             assert len(read_vertical(text).sentences) == n
 
-    def test_bad_split_exit_3(self, tmp_path):
-        assert main(["gen-synthetic", "--split", "lots",
-                     "--out-corpus", str(tmp_path / "c.tsv"),
-                     "--out-lexicon", str(tmp_path / "l.tsv")]) == 3
+    def test_bad_split_exit_3(self, tmp_path, capsys):
+        # Not numbers; NaN, which passes the sum check; infinite; negative.
+        for split in ("lots", "nan,0.5", "inf,0.5", "1.5,-0.5"):
+            assert main(["gen-synthetic", "--split", split,
+                         "--out-corpus", str(tmp_path / "c.tsv"),
+                         "--out-lexicon", str(tmp_path / "l.tsv")]) == 3, split
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            assert not list(tmp_path.iterdir())
 
 
 FUZZ_FILES = {

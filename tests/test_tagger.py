@@ -45,6 +45,21 @@ class TestOptions:
         with pytest.raises(ConfigError):
             TrainOptions(candidate_source="bogus")
 
+    @pytest.mark.parametrize("field, value", [
+        ("aggressiveness", float("nan")), ("margin", float("nan")),
+        ("margin", float("inf"))])
+    def test_train_rejects_non_finite(self, field, value):
+        """NaN would pass a `<= 0` check: NaN C turns the weights NaN, and
+        NaN margin makes every step tau = C."""
+        with pytest.raises(ConfigError):
+            TrainOptions(**{field: value})
+
+    def test_uncapped_steps_allowed(self):
+        corpus = make_corpus([("a", "A"), ("b", "B")], [("b", "B"), ("a", "A")])
+        model, _ = train(corpus, topts=TrainOptions(epochs=2, aggressiveness=float("inf")))
+        assert model.meta["updates"] > 0
+        assert all(np.isfinite(row).all() for row in model.averaged.values())
+
     def test_decode_validation(self):
         with pytest.raises(ConfigError):
             DecodeOptions(beam_size=0)
@@ -310,6 +325,20 @@ class TestDecoding:
         model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
         s = corpus.sentences[0]
         assert decode(s, model, lex) == decode(s, model, lex)
+
+    @pytest.mark.parametrize("source, hard", [
+        ("all", False), ("lexicon", False), ("lexicon", True)])
+    def test_decode_equals_traced_decode(self, source, hard):
+        corpus, lex = small_setup(sentences=20)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        cascade = derive_safe_rules(corpus, lex) if hard else None
+        assert cascade is None or cascade.rules
+        for beam in (1, 3):
+            dopts = DecodeOptions(beam_size=beam, candidate_source=source,
+                                  hard_output_rules=cascade)
+            for s in corpus.sentences[:6]:
+                assert (decode(s, model, lex, cascade, dopts)
+                        == decode_with_trace(s, model, lex, cascade, dopts)[:2])
 
     def test_lexicon_source_restricts_output(self):
         corpus, lex = small_setup(sentences=20)
@@ -610,27 +639,27 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "b4f6f12554cae24492f7296ca5b47eb5b6cae02bee1da5edaadcf40122da7081",
+            "b77061a1a9b94f374a846b5f84c7b7a8cb73176c72610dcf51d29310cd3bc37c",
             "479bc9bdeffdef12fb3b59a099652d3c0d1a05e4a322afc4a7c8617e864f19a3",
             "d95eacd3d4502accbb26c1d7aaaaa6cfe29ca4dfae614923ff891f155839bf0f",
             "31685ee140b10ea67b3ddf216996cb4dbdbb26245f5069a87d5b603c90344daa")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "5063a827481d68f6f373f0e0c9d2b68da466d604640897b924498dbd4c9083f4",
+            "a9e1666d6c7735522dec791d814b31064b5869b6dacbef83bd4f233a76d4fb1f",
             "7e43f012e3dd86dfde6fe91d9b83e8b2bb2d339c91dc37e5cef94358a0ed15bb",
             "cc6dce5f8c3638cd3fdcbf8beb82d7098f2cd5bee3f4db5c2b690c57c8a927a1",
             "5e51297594a3832599c7798ad4dc94e9a9b46c74970385746586e9b32418f66e")),
         "lexicon-oov": ("lexicon", False, (
-            "d531e5b2f033180ad9085bf4b318cc3de0fbf79087e74ede165f47a2360ef852",
+            "c05017a5752ef2326dd9374845cc81cd82a75cda84b06029177d7e3f7cfd8a06",
             "71786aef8e071a76037450e45664c7aeb7f5069b8049b46d0c38f9608350274e",
             "6f6e1f274e67ad1962645c726565fe5aaecb2f23aff2797e2f2a7e8e42b703a2",
             "31b361af631eafff0deaba953dd247d77cc69a3f1cc6e8ebd2cc86fedea7a47d")),
         "all-ties": ("all", False, (
-            "7c8c03b6aa259615c3067b4c446ff75a1991a74943615ef8d9d0032a399c2492",
+            "e46012d5f5268d8832e7fe85924a077e1b5d01585680a484092be3a19198d4ed",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "a5467f0e21e717e693c2457331b5c30f51afc2ef95f55d636fe3eea92a391684",
+            "e8e9de80cc4e378b607336b336b978b1dd23dae757890b650fa4baa15ec0cd24",
             "9b06f2d7853e01d625518d8c8d8a8611b596eedcdae477e1d0191f4c033deec7",
             "af98de1cfdf85fa73876ee554d0b0e6f1028ddfd5a766f3ff1fd2b26761e4a5d",
             "5e43905bd4ffc310f741e9a791706d278f432e6bc3f351fd0a620139a03b26e2")),
