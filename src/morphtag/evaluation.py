@@ -32,21 +32,6 @@ class EvalReport:
             "projected_accuracy": self.projected_accuracy,
         }
 
-    def to_text(self):
-        lines = [
-            f"tokens\t{self.token_count}",
-            f"token_accuracy\t{self.token_accuracy:.4f}",
-            f"sentence_accuracy\t{self.sentence_accuracy:.4f}",
-            f"unknown_tokens\t{self.unknown_token_count}",
-            f"unknown_token_accuracy\t{self.unknown_token_accuracy:.4f}",
-        ]
-        for depth in sorted(self.projected_accuracy):
-            lines.append(f"projected_accuracy_depth{depth}\t"
-                         f"{self.projected_accuracy[depth]:.4f}")
-        for gold, pred, count in self.confusion_pairs:
-            lines.append(f"confusion\t{count}\t{gold}\t{pred}")
-        return "\n".join(lines) + "\n"
-
 
 def _walk(gold: Corpus, predicted):
     """Each gold sentence's (token, predicted tag) pairs, after checking

@@ -42,7 +42,7 @@ the raw weights, so before the repeat those two columns of every cached
 static sum and score vector are summed again, over the same rows in the same
 order, and each position's best tag is re-derived: the cache ends exactly as
 a full rescore would leave it.  Raw weights drive training; decoding uses
-the averaged weights.
+their average over all updates, which `_AveragedAccumulator` keeps per cell.
 
 The lexicon is read in one pass per sentence, which training, decoding and
 `rescore` share.  It looks each token up once, runs each rule cascade it
@@ -265,20 +265,26 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     (candidate tag ids, suggested tag sets for the lexicon features).
 
     Hard output rules override the source: candidates become the lexicon
-    sets filtered by them.  `cfg.lexicon_filter` decides whether the
-    suggestions are filtered by `rules`.  Each token is looked up once; an
-    out-of-lexicon token enters the cascade as the full inventory and
-    suggests None.  Each distinct cascade runs once.  Lexicon tags outside
-    the inventory are dropped from the candidates, and a position left with
-    none falls back to the full inventory.
+    sets filtered by them.  A source or hard rules without the lexicon or
+    the rules they read raise ConfigError.  `cfg.lexicon_filter` decides
+    whether the suggestions are filtered by `rules`.  Each token is looked
+    up once; an out-of-lexicon token enters the cascade as the full
+    inventory and suggests None.  Each distinct cascade runs once.  Lexicon
+    tags outside the inventory are dropped from the candidates, and a
+    position left with none falls back to the full inventory.
     """
     n = len(sentence.tokens)
     all_ids = list(range(len(inventory)))
-    if hard_rules:
+    if hard_rules is not None:
         source, cand_rules = "lexicon+rules", hard_rules
     else:
         cand_rules = rules if source == "lexicon+rules" else None
-    want_cands = source != "all" and lexicon is not None
+    if source != "all" and lexicon is None:
+        raise ConfigError("hard output rules need a lexicon" if hard_rules is not None else
+                          f"candidate source {source!r} needs a lexicon")
+    if source == "lexicon+rules" and cand_rules is None:
+        raise ConfigError("candidate source 'lexicon+rules' needs rules")
+    want_cands = source != "all"
     want_suggested = cfg.use_lexicon_features and lexicon is not None
     if not (want_cands or want_suggested):
         return [all_ids] * n, [None] * n
@@ -624,48 +630,42 @@ class UpdateRecord:
 
 
 class _AveragedAccumulator:
-    """Running sum of post-update weight snapshots, maintained lazily.
+    """The average of the raw weights after each update, in the lazy
+    per-cell form (Collins, EMNLP 2002; Daumé III, PhD thesis, 2006).
 
-    A row must be touched before its first change, and an absent row counts
-    as zero: a first touch only records the update count, since the row was
-    absent, so zero, in every earlier snapshot.  A sum is created at the
-    first credit, not as a zero row, yet each cell gets the float
-    operations of a sum started from a zero row: the new sum adds 0.0,
-    which turns a -0.0 cell into the +0.0 that 0.0 + -0.0 gives."""
+    If update j adds delta_j, the weights after update i are w_i = delta_1
+    + ... + delta_i, and after k updates
+
+        (w_1 + ... + w_k) / k = w_k - u / k,  u = sum over j of (j - 1) delta_j,
+
+    since delta_j is in the k - j + 1 snapshots from w_j on.  A PA update
+    changes two cells per feature row, so u is a sparse map of cells, keyed
+    fid * T + tag.  `touch` is called before a row changes; this form needs
+    no work there, but a subclass can watch the rows through it."""
 
     def __init__(self, T: int):
         self.T = T
-        self.acc: dict[int, np.ndarray] = {}
-        self.last: dict[int, int] = {}
+        self.u: dict[int, float] = {}
         self.k = 0  # number of updates so far
 
-    @staticmethod
-    def _credit(acc: np.ndarray | None, row: np.ndarray, pending: int) -> np.ndarray:
-        """acc + row * pending, in place; None stands for a zero row."""
-        credit = row * pending
-        if acc is None:
-            credit += 0.0
-            return credit
-        acc += credit
-        return acc
-
     def touch(self, fid: int, row: np.ndarray):
-        """Credit pending snapshots for fid before it changes in update k+1."""
-        last = self.last.get(fid)
-        self.last[fid] = self.k
-        if last is not None and last != self.k:
-            self.acc[fid] = self._credit(self.acc.get(fid), row, self.k - last)
+        """Row fid is about to change in update k + 1."""
+
+    def add(self, fid: int, g: int, c: int, step: float):
+        """Update k + 1 adds `step` to cell g of row fid and subtracts it
+        from cell c."""
+        u, key, credit = self.u, fid * self.T, self.k * step
+        u[key + g] = u.get(key + g, 0.0) + credit
+        u[key + c] = u.get(key + c, 0.0) - credit
 
     def finalize(self, weights: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """The averaged rows.  Each accumulated sum leaves the accumulator
-        and is finished in place."""
+        """The averaged rows, w - u / k; none before the first update."""
         if self.k == 0:
             return {}
-        out = {}
-        for fid, row in weights.items():
-            acc = out[fid] = self._credit(self.acc.pop(fid, None), row,
-                                          self.k - self.last.get(fid, 0))
-            acc /= self.k
+        out = {fid: row.copy() for fid, row in weights.items()}
+        for key, credit in self.u.items():
+            fid, tag = divmod(key, self.T)
+            out[fid][tag] -= credit / self.k
         return out
 
 
@@ -746,15 +746,15 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
                 denom = 2.0 * len(fids)
                 tau = min(C, (margin + s_pred - s_gold) / denom)
-                for fid in set(fids):
+                for fid, m in Counter(fids).items():
                     row = model.weights.get(fid)
                     if row is None:
                         row = model.weights[fid] = np.zeros(len(inventory))
                     avg.touch(fid, row)
-                for fid, m in Counter(fids).items():
-                    row = model.weights[fid]
-                    row[gold[p]] += tau * m
-                    row[c] -= tau * m
+                    step = tau * m
+                    row[gold[p]] += step
+                    row[c] -= step
+                    avg.add(fid, gold[p], c, step)
                 avg.k += 1
                 if update_log is not None:
                     vec2 = scorer.score_vector(fids)

@@ -80,9 +80,6 @@ class TagSchema:
             raise SchemaError(f"unknown POS class {tag[0]!r}")
         return cls
 
-    def is_punctuation(self, tag: str) -> bool:
-        return bool(tag) and self.punct_class is not None and tag[0] == self.punct_class
-
 
 def validate(tag: str, schema: TagSchema) -> bool:
     """True iff the POS class is known and the tag length matches its layout."""

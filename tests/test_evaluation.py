@@ -43,12 +43,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(corpus, [["X", "Y"]])
 
-    def test_text_rendering(self):
-        corpus = make_corpus(["а/X"])
-        text = evaluate(corpus, [["Y"]]).to_text()
-        assert "token_accuracy\t0.0000" in text
-        assert "confusion\t1\tX\tY" in text
-
 
 class TestConfusionPairs:
     def test_ordering(self):

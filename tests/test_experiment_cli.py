@@ -291,6 +291,48 @@ class TestCliTrainTag:
         assert not out.exists()
         assert main(tag_argv + given + [missing, inputs[missing]]) == 0
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--candidates", "lexicon"], "needs a lexicon"),
+        ("train", ["--candidates", "lexicon+rules", "--rules", "R"], "needs a lexicon"),
+        ("train", ["--candidates", "lexicon+rules", "--lexicon", "L"], "needs rules"),
+        ("tag", ["--candidates", "lexicon"], "needs a lexicon"),
+        ("tag", ["--candidates", "lexicon+rules", "--lexicon", "L"], "needs rules"),
+        ("tag", ["--hard-rules", "on", "--rules", "R"], "hard output rules need a lexicon"),
+        ("experiment", ["row: id=h hard_rules=on"], "hard output rules need a lexicon"),
+    ])
+    def test_candidates_need_their_inputs(self, command, flags, message, dataset, tmp_path,
+                                          capsys):
+        """A candidate source or hard output rules without the lexicon or the
+        rules they read exit 3 with one line and write nothing, instead of
+        running on every tag."""
+        rules = tmp_path / "rules.dsl"
+        rules.write_text("RULE r\nIF 0 SURFACE-IN x\nTHEN RETAIN A\nEND\n", encoding="utf-8")
+        paths = {"L": str(dataset / "lex.tsv"), "R": str(rules)}
+        flags = [paths.get(f, f) for f in flags]
+        model, out = tmp_path / "model.json", tmp_path / "out.tsv"
+        if command == "train":
+            argv = ["train", "--train", str(dataset / "train.tsv"), "--model", str(model),
+                    "--epochs", "1", *flags]
+            written = model
+        elif command == "tag":
+            assert main(["train", "--train", str(dataset / "train.tsv"), "--model", str(model),
+                         "--epochs", "1"]) == 0
+            argv = ["tag", "--model", str(model), "--input", str(dataset / "test.tsv"),
+                    "--output", str(out), *flags]
+            written = out
+        else:
+            spec = tmp_path / "grid.spec"
+            spec.write_text(f"train={dataset / 'train.tsv'}\ntest={dataset / 'test.tsv'}\n"
+                            f"rules={rules}\nepochs=1\n{flags[0]}\n", encoding="utf-8")
+            argv = ["experiment", "--spec", str(spec), "--out", str(out)]
+            written = out
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not EXPERIMENT_PROGRESS.fullmatch(line)]
+        assert len(err) == 1 and message in err[0]
+        assert not written.exists()
+
     # A well-formed format-4 model: one feature with one weight.  It has no
     # lexicon features, so it tags without --lexicon.
     MODEL = {"format": 4, "tags": ["A", "B"], "config": {"use_lexicon_features": False},

@@ -87,8 +87,8 @@ class TestSchemaParsing:
             parse_schema("N * a=1\nN * b=2\n")
 
     def test_punct_class(self, schema):
-        assert schema.is_punctuation("U,")
-        assert not schema.is_punctuation("Ncmsf")
+        assert schema.punct_class == "U"
+        assert parse_schema("N * a=1\n").punct_class is None
 
 
 class TestTagInventory:
