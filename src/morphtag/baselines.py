@@ -127,18 +127,15 @@ def tag_mft(sentence: Sentence, table: MftTable, strategy, seed: int = 0) -> lis
 
 
 def tag_mft_lexicon(sentence: Sentence, table: MftTable, lexicon: Lexicon,
-                    seed: int = 0, report: list | None = None,
-                    inventory=None) -> list[str]:
+                    seed: int = 0) -> list[str]:
     """MFT with tag-class backoff.
 
     Per token: (1) the unique most frequent tag for the surface, if any;
     else (2) the unique most frequent training tag of its lexicon tag-class;
     else (3) a seeded-random member of the tag-class.  Tokens absent from
-    the lexicon fall back to a seeded-random choice over the full inventory
-    (all training tags when none is given) and are appended to `report`.
+    the lexicon fall back to a seeded-random choice over all training tags.
     """
-    fallback = set(inventory) if inventory is not None else \
-        {t for c in table.surface_counts.values() for t in c}
+    fallback = {t for c in table.surface_counts.values() for t in c}
     out = []
     for tok in sentence.tokens:
         counts = table.surface_counts.get(tok.surface)
@@ -149,8 +146,6 @@ def tag_mft_lexicon(sentence: Sentence, table: MftTable, lexicon: Lexicon,
                 continue
         tags = lexicon.tags(tok.surface)
         if tags is None:
-            if report is not None:
-                report.append(tok.surface)
             out.append(_seeded_choice(fallback or {UNTAGGABLE}, seed, tok.surface))
             continue
         class_counts = table.class_counts.get(";".join(sorted(tags)))

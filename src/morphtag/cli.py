@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from . import baselines as bl
-from .corpus import read_text, read_vertical, stats, write_vertical
+from .corpus import read_text, read_vertical, stats, write_text, write_vertical
 from .errors import ConfigError, DataError, FormatError, MorphtagError
 from .evaluation import audit_lexicon_exhaustiveness, evaluate
 from .experiment import format_results, parse_spec, run_experiment
@@ -21,7 +21,6 @@ from .lemmatizer import dump_rules, generate_rules, lemmatize
 from .rules import audit_precision, parse_rules
 from .synthetic import SyntheticConfig, generate_synthetic, split_corpus
 from .tagger import DecodeOptions, Model, TrainOptions, decode, train
-from .tagset import parse_schema
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -35,21 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write(path, text):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
-
-
 def _load_optional(path, loader):
     return loader(read_text(path), path) if path else None
-
-
-def default_schema():
-    text = resources.files("morphtag.data").joinpath("default_schema.txt").read_text("utf-8")
-    return parse_schema(text)
 
 
 def _feature_config(args, rules):
@@ -111,7 +97,7 @@ def _cmd_tag(args):
         tags, _ = decode(sent, model, lexicon, rules, dopts, cfg)
         tagged.append(Sentence(tuple(Token(tok.surface, tag)
                                      for tok, tag in zip(sent.tokens, tags))))
-    _write(args.output, write_vertical(Corpus(tuple(tagged))))
+    write_text(args.output, write_vertical(Corpus(tuple(tagged))))
     return EXIT_OK
 
 
@@ -148,10 +134,10 @@ def _cmd_baseline(args):
 
 def _cmd_experiment(args):
     spec = parse_spec(read_text(args.spec), base_dir=args.base_dir or ".", path=args.spec)
-    results = run_experiment(spec, progress=lambda msg: print(msg, file=sys.stderr))
+    results = run_experiment(spec)
     table = format_results(results)
     if args.out:
-        _write(args.out, table)
+        write_text(args.out, table)
     sys.stdout.write(table)
     return EXIT_OK
 
@@ -160,7 +146,7 @@ def _cmd_lemmatize(args):
     lexicon = load_lexicon(read_text(args.lexicon), args.lexicon)
     ruleset = generate_rules(lexicon)
     if args.dump_rules:
-        _write(args.dump_rules, dump_rules(ruleset))
+        write_text(args.dump_rules, dump_rules(ruleset))
     if args.check:
         total = 0
         wrong = 0
@@ -185,7 +171,7 @@ def _cmd_lemmatize(args):
                                   lexicon if args.use_lexicon == "on" else None)
                 lines.append(f"{tok.surface}\t{tok.gold_tag}\t{lemma}")
             lines.append("")
-        _write(args.output, "\n".join(lines) + "\n")
+        write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -238,10 +224,10 @@ def _cmd_gen_synthetic(args):
         parts = split_corpus(corpus, fractions)
         names = ["train", "dev", "test"][:len(parts)]
         for name, part in zip(names, parts):
-            _write(f"{args.out_corpus}.{name}", write_vertical(part))
+            write_text(f"{args.out_corpus}.{name}", write_vertical(part))
     else:
-        _write(args.out_corpus, write_vertical(corpus))
-    _write(args.out_lexicon, dump_lexicon(lexicon))
+        write_text(args.out_corpus, write_vertical(corpus))
+    write_text(args.out_lexicon, dump_lexicon(lexicon))
     return EXIT_OK
 
 

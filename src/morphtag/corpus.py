@@ -79,6 +79,16 @@ def read_text(path) -> str:
         raise FormatError(f"not UTF-8: {exc}", path=path) from None
 
 
+def write_text(path, text: str):
+    """Write a whole UTF-8 file; a file that cannot be written is a
+    ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def read_vertical(text: str, path=None) -> Corpus:
     """Parse a vertical-format corpus; a trailing sentence without a final
     blank line is accepted."""

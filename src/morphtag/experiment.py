@@ -20,6 +20,7 @@ restricts the decoder's output tags to the cascade-filtered sets.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +33,8 @@ from .rules import parse_rules
 from .tagger import DecodeOptions, TrainOptions, decode, train
 
 RULE_FILTER_MODES = ("off", "train+test", "test-only")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,13 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
     )
 
 
-def run_experiment(spec: ExperimentSpec, progress=None):
+def run_experiment(spec: ExperimentSpec):
     """Run every grid row end-to-end; returns a list of
     (row_id, sentence_accuracy, token_accuracy).
 
     Rows sharing the same training configuration share one trained model.
-    Row failures propagate with the row id attached.
+    Row failures propagate with the row id attached.  Progress lines go to
+    this module's logger (`morphtag.experiment`) at INFO.
     """
     train_corpus = read_vertical(read_text(spec.train_path), spec.train_path)
     test_corpus = read_vertical(read_text(spec.test_path), spec.test_path)
@@ -141,6 +145,7 @@ def run_experiment(spec: ExperimentSpec, progress=None):
         if spec.lexicon_path else None
     rules = parse_rules(read_text(spec.rules_path), spec.rules_path) \
         if spec.rules_path else None
+    vocab = {tok.surface for tok in train_corpus.tokens()}
 
     models = {}
     results = []
@@ -157,8 +162,7 @@ def run_experiment(spec: ExperimentSpec, progress=None):
                                       lexicon_filter=train_filter)
             key = (row.use_lexicon_features, train_filter)
             if key not in models:
-                if progress:
-                    progress(f"training model for {key}")
+                log.info("training model for %s", key)
                 models[key], _ = train(
                     train_corpus, lexicon, rules,
                     TrainOptions(epochs=spec.epochs, seed=spec.seed),
@@ -170,13 +174,11 @@ def run_experiment(spec: ExperimentSpec, progress=None):
                 hard_output_rules=rules if row.hard_rules else None)
             predictions = [decode(sent, model, lexicon, rules, dopts, decode_cfg)[0]
                            for sent in test_corpus]
-            vocab = {tok.surface for tok in train_corpus.tokens()}
             report = evaluate(test_corpus, predictions, vocab)
             results.append((row.row_id, report.sentence_accuracy,
                             report.token_accuracy))
-            if progress:
-                progress(f"row {row.row_id}: sentence {report.sentence_accuracy:.4f} "
-                         f"token {report.token_accuracy:.4f}")
+            log.info("row %s: sentence %.4f token %.4f", row.row_id,
+                     report.sentence_accuracy, report.token_accuracy)
         except Exception as exc:
             # Prefix the row id in place: the exception keeps its type, its
             # attributes (a FormatError's line and path) and its traceback.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataError, FormatError
+from .errors import DataError
 from .lexicon import Lexicon
 from .tagset import TagSchema, lemma_compatible
 
@@ -42,7 +42,7 @@ class LemmaRuleSet:
     def __len__(self):
         return len(self.counts)
 
-    def add(self, rule: LemmaRule, count: int = 1, source: str | None = None):
+    def add(self, rule: LemmaRule, source: str | None = None):
         root = self._tries.setdefault(rule.tag, _TrieNode())
         node = root
         for ch in reversed(rule.old_end):
@@ -53,7 +53,7 @@ class LemmaRuleSet:
                 f"conflicting rules for ({rule.tag}, -{rule.old_end or 'ε'}): "
                 f"-> {node.new_end!r} vs -> {rule.new_end!r}{where}")
         node.new_end = rule.new_end
-        self.counts[rule] = self.counts.get(rule, 0) + count
+        self.counts[rule] = self.counts.get(rule, 0) + 1
 
     def match(self, surface: str, tag: str) -> tuple[str, str] | None:
         """Longest old_end that suffixes `surface`, or None."""
@@ -141,21 +141,3 @@ def lemma_impact(gold_tags, predicted_tags, schema: TagSchema):
 def dump_rules(rules: LemmaRuleSet) -> str:
     lines = [f"{r.tag}\t{r.old_end}\t{r.new_end}\t{rules.counts[r]}" for r in rules.rules()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_rules(text: str, path=None) -> LemmaRuleSet:
-    ruleset = LemmaRuleSet()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise FormatError("expected `tag<TAB>old<TAB>new<TAB>count`", lineno, path)
-        tag, old_end, new_end, count = fields
-        try:
-            n = int(count)
-        except ValueError:
-            raise FormatError(f"bad count {count!r}", lineno, path) from None
-        ruleset.add(LemmaRule(tag, old_end, new_end), n)
-    return ruleset

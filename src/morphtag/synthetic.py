@@ -21,6 +21,8 @@ from .rules import Condition, Rule, RuleCascade
 _CLASS_LETTERS = "ABCDEFGHIJKLMNOPQRST"
 _STEM_ALPHABET = "abcdefghijklm"
 _SUFFIX_ALPHABET = "nopqrstuvwxyz"
+MAX_TAGS_PER_WORD = 3  # tags of an ambiguous word: 2 to this many
+MAX_SAFE_RULES = 20  # derive_safe_rules stops at this many rules
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class SyntheticConfig:
     min_sentence_len: int = 4
     max_sentence_len: int = 12
     ambiguity_rate: float = 0.3
-    max_tags_per_word: int = 3
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -44,8 +45,6 @@ class SyntheticConfig:
             raise ConfigError("sentence_count must be >= 0")
         if not 1 <= self.min_sentence_len <= self.max_sentence_len:
             raise ConfigError("need 1 <= min_sentence_len <= max_sentence_len")
-        if self.max_tags_per_word < 2:
-            raise ConfigError("max_tags_per_word must be >= 2")
 
 
 def synthetic_tags(count: int) -> list[str]:
@@ -66,7 +65,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[Corpus, Lexi
     word_tags: dict[str, list[str]] = {}
     for word in vocab:
         if rng.random() < config.ambiguity_rate:
-            k = min(rng.randint(2, config.max_tags_per_word), config.tag_count)
+            k = min(rng.randint(2, MAX_TAGS_PER_WORD), config.tag_count)
             if k < 2:
                 word_tags[word] = [tags[0]]
                 continue
@@ -152,8 +151,9 @@ def generate_lemma_lexicon(paradigm_count: int, forms_per_paradigm: int,
     return Lexicon(entries)
 
 
-def derive_safe_rules(corpus: Corpus, lexicon: Lexicon, max_rules: int = 20) -> RuleCascade:
-    """Build RETAIN rules that are 100% precise on the given corpus.
+def derive_safe_rules(corpus: Corpus, lexicon: Lexicon) -> RuleCascade:
+    """Build up to MAX_SAFE_RULES RETAIN rules that are 100% precise on the
+    given corpus.
 
     For ambiguous word types whose observed gold tags are a proper subset of
     their lexicon tags, retain exactly the observed set.  By construction
@@ -176,6 +176,6 @@ def derive_safe_rules(corpus: Corpus, lexicon: Lexicon, max_rules: int = 20) -> 
                 "RETAIN",
                 tuple(sorted(kept)),
             ))
-            if len(rules) >= max_rules:
+            if len(rules) >= MAX_SAFE_RULES:
                 break
     return RuleCascade(tuple(rules))

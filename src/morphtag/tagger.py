@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, read_text
+from .corpus import Corpus, Sentence, read_text, write_text
 from .errors import ConfigError, DataError
 from .features import FeatureConfig, suggested_tags, tag_features, word_features
 from .lexicon import Lexicon
@@ -169,12 +169,7 @@ class Model:
             "values": base64.b64encode(values).decode("ascii"),
         }
         # json.dumps runs the C encoder; json.dump to a file does not.
-        text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from None
+        write_text(path, json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
 
     # Top-level fields of a model file and their JSON types; "meta" may be absent.
     _FIELDS = {"tags": list, "config": dict, "meta": dict, "features": list,
@@ -267,7 +262,8 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     Hard output rules override the source: candidates become the lexicon
     sets filtered by them.  A source or hard rules without the lexicon or
     the rules they read raise ConfigError.  `cfg.lexicon_filter` decides
-    whether the suggestions are filtered by `rules`.  Each token is looked
+    whether the suggestions are filtered by `rules`; rule-filtered
+    suggestions without rules raise ConfigError too.  Each token is looked
     up once; an out-of-lexicon token enters the cascade as the full
     inventory and suggests None.  Each distinct cascade runs once.  Lexicon
     tags outside the inventory are dropped from the candidates, and a
@@ -286,6 +282,8 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
         raise ConfigError("candidate source 'lexicon+rules' needs rules")
     want_cands = source != "all"
     want_suggested = cfg.use_lexicon_features and lexicon is not None
+    if want_suggested and cfg.lexicon_filter == "rules" and rules is None:
+        raise ConfigError("rule-filtered lexicon features need rules")
     if not (want_cands or want_suggested):
         return [all_ids] * n, [None] * n
     lookups = [lexicon.tags(tok.surface) for tok in sentence.tokens]
@@ -673,29 +671,24 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
           rules: RuleCascade | None = None,
           topts: TrainOptions = TrainOptions(),
           cfg: FeatureConfig = FeatureConfig(),
-          inventory: TagInventory | None = None,
           update_log: list | None = None):
     """Train a model; returns (model, per-epoch training accuracies).
 
-    The inventory defaults to all tags in the corpus plus all lexicon tags,
-    sorted.  Pass `update_log` to capture every PA update for audits.
+    The inventory is all tags in the corpus plus all lexicon tags, sorted.
+    Pass `update_log` to capture every PA update for audits.
     """
     if not corpus.sentences:
         raise ConfigError("cannot train on an empty corpus")
     for tok in corpus.tokens():
         if tok.gold_tag is None:
             raise DataError(f"training token {tok.surface!r} has no gold tag")
-    if inventory is None:
-        tags = {tok.gold_tag for tok in corpus.tokens()}
-        if lexicon is not None:
-            tags |= lexicon.all_tags()
-        try:
-            inventory = TagInventory(sorted(tags))
-        except ValueError as exc:
-            raise DataError(f"cannot build the tag inventory: {exc}") from None
-    for tok in corpus.tokens():
-        if tok.gold_tag not in inventory:
-            raise DataError(f"gold tag {tok.gold_tag!r} missing from inventory")
+    tags = {tok.gold_tag for tok in corpus.tokens()}
+    if lexicon is not None:
+        tags |= lexicon.all_tags()
+    try:
+        inventory = TagInventory(sorted(tags))
+    except ValueError as exc:
+        raise DataError(f"cannot build the tag inventory: {exc}") from None
 
     model = Model(inventory, cfg, meta={"epochs": topts.epochs, "seed": topts.seed,
                                         "candidate_source": topts.candidate_source})

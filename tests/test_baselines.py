@@ -119,14 +119,6 @@ class TestLexiconBackoff:
                  for s in range(40)}
         assert picks == {"X", "Y"}
 
-    def test_oov_reported_and_tagged_from_inventory(self):
-        lex = make_lexicon({"а": ["X"]})
-        table = build_mft(make_corpus(["а/X"]), lex)
-        report = []
-        out = tag_mft_lexicon(sent("нов"), table, lex, report=report,
-                              inventory=["X", "Z"])
-        assert report == ["нов"] and out[0] in {"X", "Z"}
-
     def test_oov_fallback_to_training_tags(self):
         lex = make_lexicon({"а": ["X"]})
         table = build_mft(make_corpus(["а/X"]), lex)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 from conftest import make_corpus
 from morphtag.corpus import Token, read_vertical, stats, write_vertical
 from morphtag.errors import ConfigError, DataError, FormatError
-from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
+from morphtag.lexicon import dump_lexicon
+from morphtag.rules import format_rules
+from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
+                                split_corpus)
 
 
 class TestToken:
@@ -111,6 +116,22 @@ class TestSyntheticGenerator:
         c1, l1 = generate_synthetic(cfg, 7)
         c2, l2 = generate_synthetic(cfg, 7)
         assert c1 == c2 and l1.entries == l2.entries
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "6513ee167ed8afc6536ef94c2c75522b548eae1134ed75082ef7b25d02f0bb05"),
+        (11, "cb78d8827432fab3791f4531c9c3f54b47844a7cc06130cc49cd7f0676e65377"),
+    ])
+    def test_output_pinned(self, seed, digest):
+        """sha256 of the corpus, the lexicon and the derived safe rules.  The
+        corpus has words with three tags, and the rules reach their cap."""
+        cfg = SyntheticConfig(tag_count=12, vocab_size=300, sentence_count=150,
+                              ambiguity_rate=0.5)
+        corpus, lexicon = generate_synthetic(cfg, seed)
+        cascade = derive_safe_rules(corpus, lexicon)
+        assert len(cascade) == 20
+        assert max(len(e.readings) for e in lexicon.entries.values()) == 3
+        text = write_vertical(corpus) + dump_lexicon(lexicon) + format_rules(cascade)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_seeds_differ(self):
         cfg = SyntheticConfig(tag_count=8, vocab_size=50, sentence_count=10)

@@ -307,8 +307,9 @@ class TestDecoding:
 
 
 class TestCandidateInputs:
-    """A candidate source, or hard output rules, without the lexicon or the
-    rules it reads raises ConfigError in training and in decoding."""
+    """A candidate source, hard output rules or rule-filtered lexicon
+    features without the lexicon or the rules they read raise ConfigError
+    in training and in decoding."""
 
     RULES = parse_rules("RULE r\nIF 0 SURFACE-IN x\nTHEN RETAIN T0\nEND\n")
 
@@ -340,6 +341,27 @@ class TestCandidateInputs:
             with pytest.raises(ConfigError, match="hard output rules need a lexicon"):
                 fn(corpus.sentences[0], model, None, hard, dopts)
             fn(corpus.sentences[0], model, lex, hard, dopts)
+
+    def test_rule_filtered_features_need_rules(self):
+        """Lexicon features filtered by the cascade need rules in training,
+        decoding and rescoring, so no model records "rules" for features that
+        no cascade filtered."""
+        corpus, lex = small_setup(sentences=6)
+        cfg = FeatureConfig(lexicon_filter="rules")
+        message = "rule-filtered lexicon features need rules"
+        with pytest.raises(ConfigError, match=message):
+            train(corpus, lex, None, TrainOptions(epochs=1), cfg)
+        model, _ = train(corpus, lex, self.RULES, TrainOptions(epochs=1), cfg)
+        s = corpus.sentences[0]
+        for fn in (decode, decode_with_trace):
+            with pytest.raises(ConfigError, match=message):
+                fn(s, model, lex)
+        tags, _, _, order = decode_with_trace(s, model, lex, self.RULES)
+        with pytest.raises(ConfigError, match=message):
+            rescore(s, tags, order, model, lex)
+        # With no lexicon features there is nothing to filter.
+        train(corpus, lex, None, TrainOptions(epochs=1),
+              FeatureConfig(use_lexicon_features=False, lexicon_filter="rules"))
 
 
 class TestLexiconPass:
@@ -377,8 +399,8 @@ class TestLexiconPass:
                                          oov, cfg, "lexicon+rules")
         assert cands == [[2], [0, 1]]
         assert suggested == [None, frozenset({"Ta", "Tx"})]
-        cands, _ = _lexicon_pass(sent("х"), self.INVENTORY, self.lexicon(), None, cfg,
-                                 "lexicon")
+        cands, _ = _lexicon_pass(sent("х"), self.INVENTORY, self.lexicon(), None,
+                                 FeatureConfig(), "lexicon")
         assert cands == [[0, 1, 2]]
 
     def test_one_lookup_and_cascade_run_per_sentence(self, monkeypatch):
