@@ -40,11 +40,11 @@ def _load_optional(path, loader):
 
 def _feature_config(args, rules):
     mode = args.rules_mode
-    if mode in ("soft", "test-only") and rules is None:
+    if mode != "off" and rules is None:
         raise ConfigError(f"--rules-mode {mode} requires --rules")
     return FeatureConfig(
         use_lexicon_features=args.lexicon_features == "on",
-        lexicon_filter="rules" if mode == "soft" else "none",
+        lexicon_filter={"off": "none", "soft": "rules", "test-only": "test-only"}[mode],
     )
 
 
@@ -61,7 +61,6 @@ def _cmd_train(args):
                          aggressiveness=args.aggressiveness, margin=args.margin,
                          candidate_source=args.candidates)
     model, epoch_acc = train(corpus, lexicon, rules, topts, cfg)
-    model.meta["rules_mode"] = args.rules_mode
     for i, acc in enumerate(epoch_acc, 1):
         print(f"epoch {i}: training accuracy {acc:.4f}")
     model.save(args.model)
@@ -77,15 +76,9 @@ def _cmd_tag(args):
     cfg = model.cfg
     if cfg.use_lexicon_features and lexicon is None:
         raise ConfigError("model was trained with lexicon features; pass --lexicon")
-    if cfg.lexicon_filter == "rules" and rules is None:
-        raise ConfigError("model was trained with rule-filtered lexicon features "
-                          "(--rules-mode soft); pass --rules")
-    if model.meta.get("rules_mode") == "test-only":
-        if rules is None:
-            raise ConfigError("model was trained for test-only rule filtering; "
-                              "pass --rules")
-        from dataclasses import replace
-        cfg = replace(cfg, lexicon_filter="rules")
+    if cfg.lexicon_filter != "none" and rules is None:
+        raise ConfigError(f"model's lexicon features are filtered by rules "
+                          f"(lexicon_filter {cfg.lexicon_filter!r}); pass --rules")
     hard = rules if args.hard_rules == "on" else None
     if args.hard_rules == "on" and rules is None:
         raise ConfigError("--hard-rules on requires --rules")
@@ -94,7 +87,7 @@ def _cmd_tag(args):
     from .corpus import Corpus, Sentence, Token
     tagged = []
     for sent in corpus:
-        tags, _ = decode(sent, model, lexicon, rules, dopts, cfg)
+        tags, _ = decode(sent, model, lexicon, rules, dopts)
         tagged.append(Sentence(tuple(Token(tok.surface, tag)
                                      for tok, tag in zip(sent.tokens, tags))))
     write_text(args.output, write_vertical(Corpus(tuple(tagged))))
@@ -221,9 +214,11 @@ def _cmd_gen_synthetic(args):
             fractions = tuple(float(x) for x in args.split.split(","))
         except ValueError:
             raise ConfigError(f"bad --split {args.split!r}") from None
+        if len(fractions) > 3:
+            raise ConfigError(f"--split takes at most three fractions (train, dev, test), "
+                              f"not {len(fractions)}")
         parts = split_corpus(corpus, fractions)
-        names = ["train", "dev", "test"][:len(parts)]
-        for name, part in zip(names, parts):
+        for name, part in zip(("train", "dev", "test"), parts):
             write_text(f"{args.out_corpus}.{name}", write_vertical(part))
     else:
         write_text(args.out_corpus, write_vertical(corpus))

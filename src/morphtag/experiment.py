@@ -13,16 +13,18 @@ Spec file format (line-oriented, '#' comments):
     row: id=1 lexicon_features=off rule_filter=off hard_rules=off beam=1
     row: id=5 lexicon_features=on rule_filter=test-only hard_rules=off beam=1
 
-rule_filter is one of off | train+test | test-only and controls whether the
-cascade filters the lexicon-suggestion features; hard_rules additionally
-restricts the decoder's output tags to the cascade-filtered sets.
+rule_filter is one of off | train+test | test-only and controls where the
+cascade filters the lexicon-suggestion features (the `lexicon_filter` values
+"none", "rules" and "test-only"); hard_rules additionally restricts the
+decoder's output tags to the cascade-filtered sets.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .corpus import read_text, read_vertical
 from .errors import ConfigError, FormatError
@@ -32,7 +34,8 @@ from .lexicon import load_lexicon
 from .rules import parse_rules
 from .tagger import DecodeOptions, TrainOptions, decode, train
 
-RULE_FILTER_MODES = ("off", "train+test", "test-only")
+# rule_filter -> FeatureConfig.lexicon_filter
+LEXICON_FILTERS = {"off": "none", "train+test": "rules", "test-only": "test-only"}
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +49,7 @@ class GridRow:
     beam: int = 1
 
     def __post_init__(self):
-        if self.rule_filter not in RULE_FILTER_MODES:
+        if self.rule_filter not in LEXICON_FILTERS:
             raise ConfigError(f"unknown rule_filter {self.rule_filter!r}")
         if self.beam < 1:
             raise ConfigError("beam must be >= 1")
@@ -135,7 +138,8 @@ def run_experiment(spec: ExperimentSpec):
     """Run every grid row end-to-end; returns a list of
     (row_id, sentence_accuracy, token_accuracy).
 
-    Rows sharing the same training configuration share one trained model.
+    Rows sharing the same training configuration share one trained model;
+    each row decodes a copy of it that carries the row's own feature config.
     Row failures propagate with the row id attached.  Progress lines go to
     this module's logger (`morphtag.experiment`) at INFO.
     """
@@ -151,28 +155,24 @@ def run_experiment(spec: ExperimentSpec):
     results = []
     for row in spec.rows:
         try:
-            if row.use_lexicon_features and lexicon is None:
-                raise ConfigError("row uses lexicon features but no lexicon is given")
             if (row.rule_filter != "off" or row.hard_rules) and rules is None:
                 raise ConfigError("row uses rules but no rules file is given")
-            train_filter = "rules" if row.rule_filter == "train+test" else "none"
-            test_filter = "rules" if row.rule_filter in ("train+test", "test-only") \
-                else "none"
-            train_cfg = FeatureConfig(use_lexicon_features=row.use_lexicon_features,
-                                      lexicon_filter=train_filter)
-            key = (row.use_lexicon_features, train_filter)
+            cfg = FeatureConfig(row.use_lexicon_features, LEXICON_FILTERS[row.rule_filter])
+            # A test-only row trains as an unfiltered one.
+            key = (row.use_lexicon_features,
+                   "rules" if cfg.lexicon_filter == "rules" else "none")
             if key not in models:
                 log.info("training model for %s", key)
                 models[key], _ = train(
                     train_corpus, lexicon, rules,
                     TrainOptions(epochs=spec.epochs, seed=spec.seed),
-                    train_cfg)
-            model = models[key]
-            decode_cfg = replace(train_cfg, lexicon_filter=test_filter)
+                    FeatureConfig(*key))
+            model = copy.copy(models[key])
+            model.cfg = cfg
             dopts = DecodeOptions(
                 beam_size=row.beam,
                 hard_output_rules=rules if row.hard_rules else None)
-            predictions = [decode(sent, model, lexicon, rules, dopts, decode_cfg)[0]
+            predictions = [decode(sent, model, lexicon, rules, dopts)[0]
                            for sent in test_corpus]
             report = evaluate(test_corpus, predictions, vocab)
             results.append((row.row_id, report.sentence_accuracy,

@@ -23,16 +23,18 @@ MAX_AFFIX_LEN = 9
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Whether lexicon suggestions are features, and whether the cascade filters them."""
+    """Whether lexicon suggestions are features, and where the rule cascade
+    filters them: "none" never, "rules" in training and decoding, and
+    "test-only" in decoding only (training reads them unfiltered)."""
 
     use_lexicon_features: bool = True
-    lexicon_filter: str = "none"  # "none" | "rules"
+    lexicon_filter: str = "none"  # "none" | "rules" | "test-only"
 
     def __post_init__(self):
         if type(self.use_lexicon_features) is not bool:
             raise ConfigError("use_lexicon_features must be true or false, "
                               f"got {self.use_lexicon_features!r}")
-        if self.lexicon_filter not in ("none", "rules"):
+        if self.lexicon_filter not in ("none", "rules", "test-only"):
             raise ConfigError(f"unknown lexicon_filter {self.lexicon_filter!r}")
 
     def to_dict(self):

@@ -58,7 +58,7 @@ import base64
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
     training updates, and their average, which decoding reads.
 
-    The file (format 4) is one UTF-8 JSON object holding only what decoding
+    The file (format 5) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
     averaged table as compressed sparse rows.  Row r belongs to the feature
     string `features[r]` and holds the cells `offsets[r]:offsets[r + 1]` of
@@ -126,7 +126,7 @@ class Model:
     feature, an absent row and a zero cell all add nothing to a score vector
     that starts at +0.0."""
 
-    FORMAT_VERSION = 4
+    FORMAT_VERSION = 5
 
     def __init__(self, inventory: TagInventory, cfg: FeatureConfig, meta=None):
         self.inventory = inventory
@@ -261,13 +261,14 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
 
     Hard output rules override the source: candidates become the lexicon
     sets filtered by them.  A source or hard rules without the lexicon or
-    the rules they read raise ConfigError.  `cfg.lexicon_filter` decides
-    whether the suggestions are filtered by `rules`; rule-filtered
-    suggestions without rules raise ConfigError too.  Each token is looked
-    up once; an out-of-lexicon token enters the cascade as the full
-    inventory and suggests None.  Each distinct cascade runs once.  Lexicon
-    tags outside the inventory are dropped from the candidates, and a
-    position left with none falls back to the full inventory.
+    the rules they read raise ConfigError, and so do lexicon features
+    without a lexicon.  The suggestions are filtered by `rules` unless
+    `cfg.lexicon_filter` is "none"; rule-filtered suggestions without rules
+    raise ConfigError too.  Each token is looked up once; an out-of-lexicon
+    token enters the cascade as the full inventory and suggests None.  Each
+    distinct cascade runs once.  Lexicon tags outside the inventory are
+    dropped from the candidates, and a position left with none falls back
+    to the full inventory.
     """
     n = len(sentence.tokens)
     all_ids = list(range(len(inventory)))
@@ -281,8 +282,10 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     if source == "lexicon+rules" and cand_rules is None:
         raise ConfigError("candidate source 'lexicon+rules' needs rules")
     want_cands = source != "all"
-    want_suggested = cfg.use_lexicon_features and lexicon is not None
-    if want_suggested and cfg.lexicon_filter == "rules" and rules is None:
+    want_suggested = cfg.use_lexicon_features
+    if want_suggested and lexicon is None:
+        raise ConfigError("lexicon features need a lexicon")
+    if want_suggested and cfg.lexicon_filter != "none" and rules is None:
         raise ConfigError("rule-filtered lexicon features need rules")
     if not (want_cands or want_suggested):
         return [all_ids] * n, [None] * n
@@ -306,7 +309,7 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     suggested = [None] * n
     if want_suggested:
         suggested = suggested_tags(
-            lookups, filtered(rules if cfg.lexicon_filter == "rules" else None))
+            lookups, filtered(rules if cfg.lexicon_filter != "none" else None))
     return cand_ids, suggested
 
 
@@ -546,35 +549,29 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
 
 def decode(sentence: Sentence, model: Model, lexicon: Lexicon | None = None,
            rules: RuleCascade | None = None,
-           dopts: DecodeOptions = DecodeOptions(),
-           cfg: FeatureConfig | None = None):
-    """Tag one sentence with the averaged weights; returns (tags, score).
-
-    `cfg` overrides the model's feature config at decode time (used for
-    test-only rule filtering of the lexicon features)."""
-    tags, score, _ = _decode(sentence, model, lexicon, rules, dopts, cfg, None)
+           dopts: DecodeOptions = DecodeOptions()):
+    """Tag one sentence with the averaged weights; returns (tags, score)."""
+    tags, score, _ = _decode(sentence, model, lexicon, rules, dopts, None)
     return tags, score
 
 
 def decode_with_trace(sentence: Sentence, model: Model,
                       lexicon: Lexicon | None = None,
                       rules: RuleCascade | None = None,
-                      dopts: DecodeOptions = DecodeOptions(),
-                      cfg: FeatureConfig | None = None):
+                      dopts: DecodeOptions = DecodeOptions()):
     """decode() plus the per-step trace and commit order, for audits."""
     trace: list[TraceStep] = []
-    tags, score, order = _decode(sentence, model, lexicon, rules, dopts, cfg, trace)
+    tags, score, order = _decode(sentence, model, lexicon, rules, dopts, trace)
     return tags, score, trace, order
 
 
-def _decode(sentence, model, lexicon, rules, dopts, cfg, trace):
+def _decode(sentence, model, lexicon, rules, dopts, trace):
     """(tags, score, commit order); a TraceStep per commit is appended to
     `trace` unless it is None."""
-    cfg = model.cfg if cfg is None else cfg
-    cand_ids, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, cfg,
+    cand_ids, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, model.cfg,
                                         dopts.candidate_source, dopts.hard_output_rules)
-    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, cfg, suggested,
-                             grow=False)
+    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, model.cfg,
+                             suggested, grow=False)
 
     def choose(p, c, cache):
         if trace is not None:
@@ -588,8 +585,7 @@ def _decode(sentence, model, lexicon, rules, dopts, cfg, trace):
 
 def rescore(sentence: Sentence, tags, commit_order, model: Model,
             lexicon: Lexicon | None = None,
-            rules: RuleCascade | None = None,
-            cfg: FeatureConfig | None = None) -> float:
+            rules: RuleCascade | None = None) -> float:
     """Replay a commit order over a fixed assignment, summing action scores.
 
     Replaying decode's own commit order and output tags reproduces its
@@ -599,10 +595,9 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
         raise ValueError("commit_order is not a permutation of positions")
     if len(tags) != n:
         raise ValueError("tags/sentence length mismatch")
-    cfg = model.cfg if cfg is None else cfg
-    _, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, cfg)
-    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, cfg, suggested,
-                             grow=False)
+    _, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, model.cfg)
+    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, model.cfg,
+                             suggested, grow=False)
     tag_ids = [model.inventory.id(t) for t in tags]
     assigned: dict[int, int] = {}
     total = 0.0
@@ -675,7 +670,9 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     """Train a model; returns (model, per-epoch training accuracies).
 
     The inventory is all tags in the corpus plus all lexicon tags, sorted.
-    Pass `update_log` to capture every PA update for audits.
+    The model records `cfg`; a "test-only" lexicon filter trains on
+    unfiltered suggestions.  Pass `update_log` to capture every PA update
+    for audits.
     """
     if not corpus.sentences:
         raise ConfigError("cannot train on an empty corpus")
@@ -695,6 +692,8 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     avg = _AveragedAccumulator(len(inventory))
     C, margin = topts.aggressiveness, topts.margin
     epoch_accuracy = []
+    if cfg.lexicon_filter == "test-only":
+        cfg = replace(cfg, lexicon_filter="none")
 
     # Candidate sets, suggestions and gold ids are fixed across epochs.  Each
     # sentence's scorer is built in the first epoch, in corpus order (which

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import copy
 import io
 import json
 import logging
@@ -7,7 +8,6 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +18,14 @@ from morphtag.cli import main
 from morphtag.corpus import read_vertical, write_vertical
 from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.evaluation import evaluate
+from morphtag.features import FeatureConfig
 from morphtag.experiment import (GridRow, format_results, parse_spec,
                                  run_experiment)
 from morphtag.lexicon import dump_lexicon, load_lexicon
 from morphtag.rules import format_rules, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
-from morphtag.tagger import DecodeOptions, Model, decode
+from morphtag.tagger import Model, decode
 
 
 def _b64(*cells) -> str:
@@ -216,10 +217,11 @@ class TestCliTrainTag:
                      "--lexicon-features", "on"]) == 3
 
     def test_test_only_rule_filter(self, dataset, tmp_path, capsys):
-        """A model trained with --rules-mode test-only tags with the rules
-        filtering its lexicon features: the tags of a library decode under
-        lexicon_filter="rules", and the accuracies of the grid's test-only
-        row.  Without --rules it cannot tag."""
+        """A model trained with --rules-mode test-only records
+        lexicon_filter="test-only" and tags with the rules filtering its
+        lexicon features: the tags of a library decode of the loaded model,
+        and the accuracies of the grid's test-only row.  Without --rules it
+        cannot tag."""
         train_corpus = read_vertical((dataset / "train.tsv").read_text(encoding="utf-8"))
         test_corpus = read_vertical((dataset / "test.tsv").read_text(encoding="utf-8"))
         lexicon = load_lexicon((dataset / "lex.tsv").read_text(encoding="utf-8"))
@@ -239,14 +241,14 @@ class TestCliTrainTag:
                   for s in read_vertical(out.read_text(encoding="utf-8")).sentences]
 
         model = Model.load(model_path)
-        assert model.cfg.lexicon_filter == "none"
-        cfg = replace(model.cfg, lexicon_filter="rules")
-        filtered = [decode(s, model, lexicon, cascade, DecodeOptions(), cfg)
-                    for s in test_corpus]
+        assert model.cfg.lexicon_filter == "test-only"
+        filtered = [decode(s, model, lexicon, cascade) for s in test_corpus]
         assert tagged == [tags for tags, _ in filtered]
-        # The filter reaches the lexicon features: decoding without it scores
-        # differently.
-        assert filtered != [decode(s, model, lexicon, cascade) for s in test_corpus]
+        # The filter reaches the lexicon features: an unfiltered copy of the
+        # model scores differently.
+        unfiltered = copy.copy(model)
+        unfiltered.cfg = FeatureConfig(lexicon_filter="none")
+        assert filtered != [decode(s, unfiltered, lexicon, cascade) for s in test_corpus]
 
         spec = parse_spec(f"train=train.tsv\ntest=test.tsv\nlexicon=lex.tsv\nrules={rules}\n"
                           "epochs=3\nrow: id=5 lexicon_features=on rule_filter=test-only\n",
@@ -331,9 +333,9 @@ class TestCliTrainTag:
         assert len(err) == 1 and message in err[0]
         assert not written.exists()
 
-    # A well-formed format-4 model: one feature with one weight.  It has no
+    # A well-formed format-5 model: one feature with one weight.  It has no
     # lexicon features, so it tags without --lexicon.
-    MODEL = {"format": 4, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
+    MODEL = {"format": 5, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
              "meta": {}, "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1],
              "values": _b64(1.0)}
     # Each broken model is MODEL with these fields replaced; None drops one.
@@ -346,6 +348,8 @@ class TestCliTrainTag:
         # Template settings of format 2, which are fixed now.
         "model-removed-config-key": {"config": {"max_affix_len": 2.5}},
         "model-config-flag-not-bool": {"config": {"use_lexicon_features": "no"}},
+        "model-bad-lexicon-filter": {"config": {"use_lexicon_features": False,
+                                                "lexicon_filter": "test_only"}},
         "model-nan-weight": {"values": _b64(float("nan"))},
         "model-inf-weight": {"values": _b64(float("-inf"))},
         "model-offsets-end-short": {"offsets": [0, 1], "tag_ids": [0, 1],
@@ -375,6 +379,8 @@ class TestCliTrainTag:
             "use_tag_context": True, "use_bilexical": True, "use_word_bigrams": True},
             "values": [1.0]},
         "model-format-3": {"format": 3, "values": [1.0]},
+        # Format 4 marked test-only rule filtering in meta, not in config.
+        "model-format-4": {"format": 4, "meta": {"rules_mode": "test-only"}},
     }
 
     def test_well_formed_model_tags(self, tmp_path):
@@ -403,7 +409,7 @@ class TestCliTrainTag:
         corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
         model = tmp_path / "model.json"
         if case == "model-not-json":
-            model.write_text('{"format": 4, "tags": ["A", "B"', encoding="utf-8")
+            model.write_text('{"format": 5, "tags": ["A", "B"', encoding="utf-8")
         elif case in self.BROKEN_MODELS:
             fields = {**self.MODEL, **self.BROKEN_MODELS[case]}
             model.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}),
@@ -437,7 +443,7 @@ class TestCliTrainTag:
         assert main(argv) == expected
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        if case in ("model-format-2", "model-format-3"):
+        if case in ("model-format-2", "model-format-3", "model-format-4"):
             assert lines[0].endswith(f"unsupported model format {case[-1]}")
         elif "value" in case or "weight" in case:
             assert "'values'" in lines[0]
@@ -571,8 +577,9 @@ class TestCliGenSynthetic:
             assert len(read_vertical(text).sentences) == n
 
     def test_bad_split_exit_3(self, tmp_path, capsys):
-        # Not numbers; NaN, which passes the sum check; infinite; negative.
-        for split in ("lots", "nan,0.5", "inf,0.5", "1.5,-0.5"):
+        # Not numbers; NaN, which passes the sum check; infinite; negative;
+        # more parts than train, dev and test.
+        for split in ("lots", "nan,0.5", "inf,0.5", "1.5,-0.5", "0.25,0.25,0.25,0.25"):
             assert main(["gen-synthetic", "--split", split,
                          "--out-corpus", str(tmp_path / "c.tsv"),
                          "--out-lexicon", str(tmp_path / "l.tsv")]) == 3, split

@@ -57,7 +57,8 @@ class TestOptions:
 
     def test_uncapped_steps_allowed(self):
         corpus = make_corpus([("a", "A"), ("b", "B")], [("b", "B"), ("a", "A")])
-        model, _ = train(corpus, topts=TrainOptions(epochs=2, aggressiveness=float("inf")))
+        model, _ = train(corpus, topts=TrainOptions(epochs=2, aggressiveness=float("inf")),
+                         cfg=FeatureConfig(use_lexicon_features=False))
         assert model.meta["updates"] > 0
         assert all(np.isfinite(row).all() for row in model.averaged.values())
 
@@ -72,7 +73,8 @@ class TestTraining:
     def test_memorizes_small_corpus(self):
         corpus = make_corpus(["аз/P1", "чета/V1"], ["тя/P3", "чете/V3"],
                              ["аз/P1", "спя/V1"])
-        model, _ = train(corpus, topts=TrainOptions(epochs=8))
+        model, _ = train(corpus, topts=TrainOptions(epochs=8),
+                         cfg=FeatureConfig(use_lexicon_features=False))
         for s in corpus.sentences:
             tags, _ = decode(s, model)
             assert tags == [t.gold_tag for t in s.tokens]
@@ -127,7 +129,8 @@ class TestTraining:
     def test_update_promotes_gold(self):
         corpus = make_corpus(["а/X", "а/Y"])
         log = []
-        train(corpus, topts=TrainOptions(epochs=1), update_log=log)
+        train(corpus, topts=TrainOptions(epochs=1),
+              cfg=FeatureConfig(use_lexicon_features=False), update_log=log)
         for rec in log:
             assert rec.gold_id != rec.predicted_id
 
@@ -233,14 +236,21 @@ class TestDecoding:
             assert step.score == pytest.approx(best, abs=1e-12)
 
     def test_score_matches_rescore_replay(self):
+        """Rescoring reads the model's config as decoding does, so a
+        test-only model replays with its suggestions rule-filtered."""
         corpus, lex = small_setup(sentences=25)
-        model, _ = train(corpus, lex, topts=TrainOptions(epochs=3))
-        for s in corpus.sentences[:8]:
-            for beam in (1, 3):
-                tags, score, _, order = decode_with_trace(
-                    s, model, lex, dopts=DecodeOptions(beam_size=beam))
-                replay = rescore(s, tags, order, model, lex)
-                assert replay == pytest.approx(score, abs=1e-9)
+        cascade = derive_safe_rules(corpus, lex)
+        assert cascade.rules
+        for lexicon_filter, rules in (("none", None), ("test-only", cascade)):
+            model, _ = train(corpus, lex, rules, TrainOptions(epochs=3),
+                             FeatureConfig(lexicon_filter=lexicon_filter))
+            assert model.cfg.lexicon_filter == lexicon_filter
+            for s in corpus.sentences[:8]:
+                for beam in (1, 3):
+                    tags, score, _, order = decode_with_trace(
+                        s, model, lex, rules, DecodeOptions(beam_size=beam))
+                    replay = rescore(s, tags, order, model, lex, rules)
+                    assert replay == pytest.approx(score, abs=1e-9)
 
     def test_wide_beam_exact_on_two_tokens(self):
         # with an unpruned beam the reported score must equal the best
@@ -307,9 +317,9 @@ class TestDecoding:
 
 
 class TestCandidateInputs:
-    """A candidate source, hard output rules or rule-filtered lexicon
-    features without the lexicon or the rules they read raise ConfigError
-    in training and in decoding."""
+    """A candidate source, hard output rules, lexicon features or
+    rule-filtered lexicon features without the lexicon or the rules they
+    read raise ConfigError in training and in decoding."""
 
     RULES = parse_rules("RULE r\nIF 0 SURFACE-IN x\nTHEN RETAIN T0\nEND\n")
 
@@ -362,6 +372,22 @@ class TestCandidateInputs:
         # With no lexicon features there is nothing to filter.
         train(corpus, lex, None, TrainOptions(epochs=1),
               FeatureConfig(use_lexicon_features=False, lexicon_filter="rules"))
+
+    def test_lexicon_features_need_a_lexicon(self):
+        """Without a lexicon every token would get the same `lex=<unk>`
+        feature, and the model would record lexicon features it never read."""
+        corpus, lex = small_setup(sentences=6)
+        message = "lexicon features need a lexicon"
+        with pytest.raises(ConfigError, match=message):
+            train(corpus, topts=TrainOptions(epochs=1))
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=1))
+        s = corpus.sentences[0]
+        for fn in (decode, decode_with_trace):
+            with pytest.raises(ConfigError, match=message):
+                fn(s, model)
+        tags, _, _, order = decode_with_trace(s, model, lex)
+        with pytest.raises(ConfigError, match=message):
+            rescore(s, tags, order, model)
 
 
 class TestLexiconPass:
@@ -587,7 +613,8 @@ class TestPersistence:
         """A corpus the zero weights already tag right trains no update: the
         averaged table is empty, and the model saves, loads and decodes."""
         corpus = make_corpus([("a", "A"), ("b", "A")], [("c", "A")])
-        model, _ = train(corpus, topts=TrainOptions(epochs=1))
+        model, _ = train(corpus, topts=TrainOptions(epochs=1),
+                         cfg=FeatureConfig(use_lexicon_features=False))
         assert model.meta["updates"] == 0 and model.averaged == {}
         path = tmp_path / "model.json"
         model.save(path)
@@ -641,27 +668,27 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "bcaf4893733832c5e94da4bc23c5e15f06b1d1ada063e3750336ff3c104d33d2",
+            "71fb38d47b28b53b660743d4d0e59095a3f132585f439d8e2eb80323d363ef2e",
             "d3720ef6ae562b0ebfc107462eeebd93fe045728fe9463d68ad92ada1520f5bd",
             "bcfa13a2986ae8f252280f339c6b5d2532d5e1d6b9df8038ec761b0ba03a08f9",
             "e0c61848ba1060a446d022618282624dad896a9e8306345d111fc9f04630a738")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "efd52f5a080f59d176059cbe1d53caf065923955b303a44c3c41083c924fe5e7",
+            "849ac80e3a768710eb879d277bf545e0271dec2664d61a4f1a9e86704e0c0f3e",
             "b7f5600192f7527ed985f6857706d548877d322a3aeee4e1f8149f2aa5098fab",
             "cb0e289c8e59d3dcaae3029cfabaf587ba4b80fa64d90c725f6917ed61a29d7c",
             "a8a1f1b8fa812ac8758df593d44226b0787ccd65ba0da38d939628e051639e48")),
         "lexicon-oov": ("lexicon", False, (
-            "5b15b1f7b254e528fba17c2e8d545c673fa5650cbecd482d330ae0ff8f610779",
+            "d9d5293e6f030d10915091ed886a41e64a64659a3a952c8cc10462654a4b19b6",
             "fd521ba3b49f788453485b7636555689cbf074d4c194646aa6b1c4aac2855771",
             "b5407214630ab589336a6b95039e7f64e8689122db7b3b8a525f78d10ffb50b5",
             "b93175eb06d17e71376e4af8addace0d7a61c1111a1d5622456b228e3405bef2")),
         "all-ties": ("all", False, (
-            "e46012d5f5268d8832e7fe85924a077e1b5d01585680a484092be3a19198d4ed",
+            "989dd7553121a958adec78ac34b594313635d0e0d4732e7898ff8cc2c069b013",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "1686d5a9aea14d45178c5c9deb9283c4bde596addf549ef192e660bb67dbab3f",
+            "25d0c5831e19ca2bfdbbaff9c9e7b8f5d500a298a2224bf495b569f049af0c6a",
             "33486bdaa87a29049d90402ed957bbf037aff5862e9a5341d77cf36075a4d98e",
             "db5af6728e7859913e13542c9ded2d04a31adb397b1e94dbbfbb96f3d2a6f4b4",
             "439a139f995743270889bca133261f14a8419999fc63ed6a9f3e6c0df84a7802")),
