@@ -38,25 +38,16 @@ def _load_optional(path, loader):
     return loader(read_text(path), path) if path else None
 
 
-def _feature_config(args, rules):
-    mode = args.rules_mode
-    if mode != "off" and rules is None:
-        raise ConfigError(f"--rules-mode {mode} requires --rules")
-    return FeatureConfig(
-        use_lexicon_features=args.lexicon_features == "on",
-        lexicon_filter={"off": "none", "soft": "rules", "test-only": "test-only"}[mode],
-    )
-
-
 # Commands ----------------------------------------------------------------
 
 def _cmd_train(args):
     corpus = read_vertical(read_text(args.train), args.train)
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
-    if args.lexicon_features == "on" and lexicon is None:
-        raise ConfigError("--lexicon-features on requires --lexicon")
-    cfg = _feature_config(args, rules)
+    cfg = FeatureConfig(
+        use_lexicon_features=args.lexicon_features == "on",
+        lexicon_filter={"off": "none", "soft": "rules",
+                        "test-only": "test-only"}[args.rules_mode])
     topts = TrainOptions(epochs=args.epochs, seed=args.seed,
                          aggressiveness=args.aggressiveness, margin=args.margin,
                          candidate_source=args.candidates)

@@ -40,9 +40,6 @@ class Sentence:
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
-    def gold_tags(self) -> list[str | None]:
-        return [t.gold_tag for t in self.tokens]
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -15,8 +15,9 @@ Spec file format (line-oriented, '#' comments):
 
 rule_filter is one of off | train+test | test-only and controls where the
 cascade filters the lexicon-suggestion features (the `lexicon_filter` values
-"none", "rules" and "test-only"); hard_rules additionally restricts the
-decoder's output tags to the cascade-filtered sets.
+"none", "rules" and "test-only"), and has no effect with lexicon_features=off;
+hard_rules additionally restricts the decoder's output tags to the
+cascade-filtered sets.  Other keys and repeated row ids are format errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import copy
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .corpus import read_text, read_vertical
 from .errors import ConfigError, FormatError
@@ -36,6 +37,8 @@ from .tagger import DecodeOptions, TrainOptions, decode, train
 
 # rule_filter -> FeatureConfig.lexicon_filter
 LEXICON_FILTERS = {"off": "none", "train+test": "rules", "test-only": "test-only"}
+SPEC_KEYS = ("train", "test", "lexicon", "rules", "seed", "epochs")
+ROW_KEYS = ("id", "lexicon_features", "rule_filter", "hard_rules", "beam")
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +90,13 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
                 if "=" not in token:
                     raise FormatError(f"expected key=value, got {token!r}", lineno, path)
                 k, v = token.split("=", 1)
+                if k not in ROW_KEYS:
+                    raise FormatError(f"unknown row key {k!r}", lineno, path)
                 fields[k] = v
             if not fields.get("id"):
                 raise FormatError("row needs an id", lineno, path)
+            if any(row.row_id == fields["id"] for row in rows):
+                raise FormatError(f"repeated row id {fields['id']!r}", lineno, path)
             try:
                 rows.append(GridRow(
                     row_id=fields["id"],
@@ -104,6 +111,8 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
         elif "=" in line:
             k, v = line.split("=", 1)
             k, v = k.strip(), v.strip()
+            if k not in SPEC_KEYS:
+                raise FormatError(f"unknown key {k!r}", lineno, path)
             if k in ("seed", "epochs"):
                 try:
                     v = int(v)
@@ -138,8 +147,9 @@ def run_experiment(spec: ExperimentSpec):
     """Run every grid row end-to-end; returns a list of
     (row_id, sentence_accuracy, token_accuracy).
 
-    Rows sharing the same training configuration share one trained model;
-    each row decodes a copy of it that carries the row's own feature config.
+    Rows sharing a training config (`FeatureConfig.for_training`) share one
+    trained model, so rows without lexicon features share one whatever their
+    rule_filter; each row decodes a copy that carries its own feature config.
     Row failures propagate with the row id attached.  Progress lines go to
     this module's logger (`morphtag.experiment`) at INFO.
     """
@@ -155,19 +165,16 @@ def run_experiment(spec: ExperimentSpec):
     results = []
     for row in spec.rows:
         try:
-            if (row.rule_filter != "off" or row.hard_rules) and rules is None:
-                raise ConfigError("row uses rules but no rules file is given")
+            if row.hard_rules and rules is None:
+                raise ConfigError("row uses hard rules but no rules file is given")
             cfg = FeatureConfig(row.use_lexicon_features, LEXICON_FILTERS[row.rule_filter])
-            # A test-only row trains as an unfiltered one.
-            key = (row.use_lexicon_features,
-                   "rules" if cfg.lexicon_filter == "rules" else "none")
-            if key not in models:
-                log.info("training model for %s", key)
-                models[key], _ = train(
+            train_cfg = cfg.for_training()
+            if train_cfg not in models:
+                log.info("training model for %s", astuple(train_cfg))
+                models[train_cfg], _ = train(
                     train_corpus, lexicon, rules,
-                    TrainOptions(epochs=spec.epochs, seed=spec.seed),
-                    FeatureConfig(*key))
-            model = copy.copy(models[key])
+                    TrainOptions(epochs=spec.epochs, seed=spec.seed), train_cfg)
+            model = copy.copy(models[train_cfg])
             model.cfg = cfg
             dopts = DecodeOptions(
                 beam_size=row.beam,

@@ -13,7 +13,7 @@ fixed template groups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
@@ -25,7 +25,8 @@ MAX_AFFIX_LEN = 9
 class FeatureConfig:
     """Whether lexicon suggestions are features, and where the rule cascade
     filters them: "none" never, "rules" in training and decoding, and
-    "test-only" in decoding only (training reads them unfiltered)."""
+    "test-only" in decoding only (training reads them unfiltered).  Without
+    lexicon features there is nothing to filter: the filter becomes "none"."""
 
     use_lexicon_features: bool = True
     lexicon_filter: str = "none"  # "none" | "rules" | "test-only"
@@ -36,6 +37,13 @@ class FeatureConfig:
                               f"got {self.use_lexicon_features!r}")
         if self.lexicon_filter not in ("none", "rules", "test-only"):
             raise ConfigError(f"unknown lexicon_filter {self.lexicon_filter!r}")
+        if not self.use_lexicon_features:
+            object.__setattr__(self, "lexicon_filter", "none")
+
+    def for_training(self):
+        """The config a model is trained under: "test-only" trains as "none"."""
+        return replace(self, lexicon_filter="none") \
+            if self.lexicon_filter == "test-only" else self
 
     def to_dict(self):
         return dict(self.__dict__)

@@ -58,7 +58,7 @@ import base64
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     want_suggested = cfg.use_lexicon_features
     if want_suggested and lexicon is None:
         raise ConfigError("lexicon features need a lexicon")
-    if want_suggested and cfg.lexicon_filter != "none" and rules is None:
+    if cfg.lexicon_filter != "none" and rules is None:
         raise ConfigError("rule-filtered lexicon features need rules")
     if not (want_cands or want_suggested):
         return [all_ids] * n, [None] * n
@@ -670,9 +670,9 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     """Train a model; returns (model, per-epoch training accuracies).
 
     The inventory is all tags in the corpus plus all lexicon tags, sorted.
-    The model records `cfg`; a "test-only" lexicon filter trains on
-    unfiltered suggestions.  Pass `update_log` to capture every PA update
-    for audits.
+    The model records `cfg` and trains under `cfg.for_training()`: a
+    "test-only" lexicon filter trains on unfiltered suggestions.  Pass
+    `update_log` to capture every PA update for audits.
     """
     if not corpus.sentences:
         raise ConfigError("cannot train on an empty corpus")
@@ -692,8 +692,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     avg = _AveragedAccumulator(len(inventory))
     C, margin = topts.aggressiveness, topts.margin
     epoch_accuracy = []
-    if cfg.lexicon_filter == "test-only":
-        cfg = replace(cfg, lexicon_filter="none")
+    cfg = cfg.for_training()
 
     # Candidate sets, suggestions and gold ids are fixed across epochs.  Each
     # sentence's scorer is built in the first epoch, in corpus order (which

@@ -202,6 +202,3 @@ class TagInventory:
 
     def id(self, tag: str) -> int:
         return self.index[tag]
-
-    def tag(self, tag_id: int) -> str:
-        return self.tags[tag_id]

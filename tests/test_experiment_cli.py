@@ -88,10 +88,20 @@ class TestSpecParsing:
             parse_spec("train=x\ntest=y\nrow: id=1 rule_filter=bogus\n")
         with pytest.raises(FormatError):
             parse_spec("train=x\ntest=y\nrow: id=1 beam=zero\n")
+        # Unknown keys and repeated ids would otherwise run a different
+        # grid from the one written.
+        for rows, line in (("row: id=1 lexicon_feature=on\n", 3), ("row: id=2 bema=3\n", 3),
+                           ("row: id=1\nrow: id=1 beam=2\n", 4)):
+            with pytest.raises(FormatError) as info:
+                parse_spec("train=x\ntest=y\n" + rows, path="grid.spec")
+            assert str(info.value).startswith(f"grid.spec:{line}: ")
 
     def test_unexpected_line(self):
         with pytest.raises(FormatError):
             parse_spec("train=x\ntest=y\nwhat now\n")
+        with pytest.raises(FormatError) as info:
+            parse_spec("train=x\ntest=y\nepoch=1\n", path="grid.spec")
+        assert str(info.value) == "grid.spec:3: unknown key 'epoch'"
 
 
 class TestRunExperiment:
@@ -292,6 +302,19 @@ class TestCliTrainTag:
         assert not out.exists()
         assert main(tag_argv + given + [missing, inputs[missing]]) == 0
 
+    def test_rules_mode_without_lexicon_features(self, dataset, tmp_path):
+        """Without lexicon features the rules have nothing to filter: a
+        --rules-mode soft model records lexicon_filter "none" and tags
+        without --rules."""
+        model, out = tmp_path / "model.json", tmp_path / "tagged.tsv"
+        assert main(["train", "--train", str(dataset / "train.tsv"), "--model", str(model),
+                     "--rules", str(dataset / "rules.dsl"), "--rules-mode", "soft",
+                     "--epochs", "1"]) == 0
+        assert json.loads(model.read_text(encoding="utf-8"))["config"] == {
+            "use_lexicon_features": False, "lexicon_filter": "none"}
+        assert main(["tag", "--model", str(model), "--input", str(dataset / "test.tsv"),
+                     "--output", str(out)]) == 0
+
     @pytest.mark.parametrize("command, flags, message", [
         ("train", ["--candidates", "lexicon"], "needs a lexicon"),
         ("train", ["--candidates", "lexicon+rules", "--rules", "R"], "needs a lexicon"),
@@ -300,12 +323,15 @@ class TestCliTrainTag:
         ("tag", ["--candidates", "lexicon+rules", "--lexicon", "L"], "needs rules"),
         ("tag", ["--hard-rules", "on", "--rules", "R"], "hard output rules need a lexicon"),
         ("experiment", ["row: id=h hard_rules=on"], "hard output rules need a lexicon"),
+        ("train", ["--lexicon-features", "on"], "lexicon features need a lexicon"),
+        ("train", ["--lexicon-features", "on", "--lexicon", "L", "--rules-mode", "soft"],
+         "rule-filtered lexicon features need rules"),
     ])
     def test_candidates_need_their_inputs(self, command, flags, message, dataset, tmp_path,
                                           capsys):
-        """A candidate source or hard output rules without the lexicon or the
-        rules they read exit 3 with one line and write nothing, instead of
-        running on every tag."""
+        """A candidate source, hard output rules or lexicon features without
+        the lexicon or the rules they read exit 3 with one line and write
+        nothing, instead of running on every tag."""
         rules = tmp_path / "rules.dsl"
         rules.write_text("RULE r\nIF 0 SURFACE-IN x\nTHEN RETAIN A\nEND\n", encoding="utf-8")
         paths = {"L": str(dataset / "lex.tsv"), "R": str(rules)}
@@ -384,14 +410,20 @@ class TestCliTrainTag:
     }
 
     def test_well_formed_model_tags(self, tmp_path):
-        """The base of the broken models loads and tags."""
+        """The base of the broken models loads and tags, and so does one
+        whose lexicon features are off but whose filter says "rules": it
+        loads as "none" and needs no --rules."""
         corpus = tmp_path / "corpus.tsv"
         corpus.write_text("a\tA\nb\tB\n\n", encoding="utf-8")
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(self.MODEL), encoding="utf-8")
-        assert main(["tag", "--model", str(model), "--input", str(corpus),
-                     "--output", str(tmp_path / "out.tsv")]) == 0
-        assert Model.load(model).averaged[0].tolist() == [0.0, 1.0]
+        for config in (self.MODEL["config"],
+                       {"use_lexicon_features": False, "lexicon_filter": "rules"}):
+            model.write_text(json.dumps({**self.MODEL, "config": config}), encoding="utf-8")
+            assert main(["tag", "--model", str(model), "--input", str(corpus),
+                         "--output", str(tmp_path / "out.tsv")]) == 0
+            loaded = Model.load(model)
+            assert loaded.cfg == FeatureConfig(use_lexicon_features=False)
+            assert loaded.averaged[0].tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("case, expected", [
         ("missing-model", 3),
@@ -478,18 +510,20 @@ class TestCliExperiment:
         progress lines go to the `morphtag.experiment` logger at INFO."""
         caplog.set_level(logging.INFO, logger="morphtag.experiment")
         spec = tmp_path / "grid.spec"
-        spec.write_text(SPEC_TEXT)
+        # Row 3 has no lexicon features to filter: it reuses row 1's model.
+        spec.write_text(SPEC_TEXT + "row: id=3 lexicon_features=off rule_filter=train+test\n")
         out = tmp_path / "results.tsv"
         assert main(["experiment", "--spec", str(spec),
                      "--base-dir", str(dataset), "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
-        assert len(lines) == 2
-        assert lines[0].startswith("1\t")
+        assert [line.split("\t")[0] for line in lines] == ["1", "2", "3"]
+        assert lines[2].split("\t")[1:] == lines[0].split("\t")[1:]
         assert capsys.readouterr().err == ""
         progress = [r.getMessage() for r in caplog.records if r.name == "morphtag.experiment"]
-        assert progress[0::2] == ["training model for (False, 'none')",
-                                  "training model for (True, 'none')"]
-        assert [line.split(":")[0] for line in progress[1::2]] == ["row 1", "row 2"]
+        assert [line for line in progress if line.startswith("training")] == [
+            "training model for (False, 'none')", "training model for (True, 'none')"]
+        assert [line.split(":")[0] for line in progress if line.startswith("row")] == [
+            "row 1", "row 2", "row 3"]
 
     def test_failing_row_one_line(self, dataset, tmp_path, capsys):
         """A grid whose second row fails exits 3 with its one error line,

@@ -19,9 +19,21 @@ def sent(*surfaces):
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = FeatureConfig(use_lexicon_features=False, lexicon_filter="rules")
-        assert cfg.to_dict() == {"use_lexicon_features": False, "lexicon_filter": "rules"}
+        cfg = FeatureConfig(use_lexicon_features=True, lexicon_filter="rules")
+        assert cfg.to_dict() == {"use_lexicon_features": True, "lexicon_filter": "rules"}
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+        # Without lexicon features the filter is "none"; a "test-only"
+        # filter trains as "none", and no other config changes for training.
+        for x in ("none", "rules", "test-only"):
+            off = FeatureConfig(use_lexicon_features=False, lexicon_filter=x)
+            assert off.lexicon_filter == "none"
+            assert off == FeatureConfig(use_lexicon_features=False)
+            assert hash(off) == hash(FeatureConfig(use_lexicon_features=False))
+            assert off.for_training() == off
+        assert FeatureConfig(lexicon_filter="test-only").for_training() == FeatureConfig()
+        for x in ("none", "rules"):
+            cfg = FeatureConfig(lexicon_filter=x)
+            assert cfg.for_training() == cfg
 
     def test_invalid(self):
         with pytest.raises(ConfigError):
