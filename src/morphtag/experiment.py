@@ -17,7 +17,8 @@ rule_filter is one of off | train+test | test-only and controls where the
 cascade filters the lexicon-suggestion features (the `lexicon_filter` values
 "none", "rules" and "test-only"), and has no effect with lexicon_features=off;
 hard_rules additionally restricts the decoder's output tags to the
-cascade-filtered sets.  Other keys and repeated row ids are format errors.
+cascade-filtered sets.  Other keys, a key given twice (top-level or in one
+row) and repeated row ids are format errors.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
                 k, v = token.split("=", 1)
                 if k not in ROW_KEYS:
                     raise FormatError(f"unknown row key {k!r}", lineno, path)
+                if k in fields:
+                    raise FormatError(f"repeated row key {k!r}", lineno, path)
                 fields[k] = v
             if not fields.get("id"):
                 raise FormatError("row needs an id", lineno, path)
@@ -113,6 +116,8 @@ def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
             k, v = k.strip(), v.strip()
             if k not in SPEC_KEYS:
                 raise FormatError(f"unknown key {k!r}", lineno, path)
+            if k in keys:
+                raise FormatError(f"repeated key {k!r}", lineno, path)
             if k in ("seed", "epochs"):
                 try:
                     v = int(v)

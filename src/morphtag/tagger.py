@@ -41,8 +41,12 @@ step is repeated.  The update changes only the gold and predicted columns of
 the raw weights, so before the repeat those two columns of every cached
 static sum and score vector are summed again, over the same rows in the same
 order, and each position's best tag is re-derived: the cache ends exactly as
-a full rescore would leave it.  Raw weights drive training; decoding uses
-their average over all updates, which `_AveragedAccumulator` keeps per cell.
+a full rescore would leave it.  Raw weights, dense rows, drive training;
+decoding uses their average over all updates, which `_AveragedAccumulator`
+keeps per cell and emits as a `SparseTable`: the compressed sparse rows the
+model file stores, which a loaded model keeps as they are read.  No dense
+table of the averaged rows is built: decoding sums a sentence's static rows
+with one bincount and adds tag-context rows dense, memoised on the table.
 
 The lexicon is read in one pass per sentence, which training, decoding and
 `rescore` share.  It looks each token up once, runs each rule cascade it
@@ -55,9 +59,12 @@ the cascade as the full inventory and suggests no tags.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
+import weakref
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,20 +118,22 @@ class DecodeOptions:
 
 class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
-    training updates, and their average, which decoding reads.
+    training updates, a dict of dense rows, and their average, which
+    decoding reads, a `SparseTable`.
 
     The file (format 5) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
     averaged table as compressed sparse rows.  Row r belongs to the feature
     string `features[r]` and holds the cells `offsets[r]:offsets[r + 1]` of
-    the flat integer array `tag_ids` and of `values`.  `values` is one ASCII
-    string, the base64 of the cells as little-endian float64, so the bits
-    read back exactly without printing or parsing float text.  Only nonzero
-    cells are written, and only features with one.  A loaded model interns
-    `features[r]` as id r and has no raw weights.  Decoding gives the same
-    bits either way: it looks rows up by feature string, and an absent
-    feature, an absent row and a zero cell all add nothing to a score vector
-    that starts at +0.0."""
+    the flat integer array `tag_ids`, strictly ascending within the row, and
+    of `values`.  `values` is one ASCII string, the base64 of the cells as
+    little-endian float64, so the bits read back exactly without printing or
+    parsing float text.  Only nonzero cells are written, and only features
+    with one.  A loaded model interns `features[r]` as id r, keeps the
+    file's arrays as its averaged table and has no raw weights; no dense
+    table is built.  Decoding gives the same bits either way: it looks rows
+    up by feature string, and an absent feature, an absent row and a zero
+    cell all add nothing to a score vector that starts at +0.0."""
 
     FORMAT_VERSION = 5
 
@@ -133,7 +142,7 @@ class Model:
         self.cfg = cfg
         self.feature_ids: dict[str, int] = {}
         self.weights: dict[int, np.ndarray] = {}
-        self.averaged: dict[int, np.ndarray] = {}
+        self.averaged = SparseTable(len(inventory))
         self.meta: dict = meta or {}
 
     def intern(self, feature: str) -> int:
@@ -144,20 +153,16 @@ class Model:
         return fid
 
     def save(self, path):
-        names = {fid: f for f, fid in self.feature_ids.items()}
-        features, offsets, tag_ids, values = [], [0], [], []
-        for fid, row in self.averaged.items():
-            # nonzero skips -0.0 too, so no zero cell is written.
-            nz = row.nonzero()[0]
-            if nz.size:
-                features.append(names[fid])
-                tag_ids += nz.tolist()
-                # Python floats, not one array per row: thousands of small
-                # arrays alive at once fragment the heap that the next load's
-                # table reuses.
-                values += row[nz].tolist()
-                offsets.append(len(values))
-        values = np.array(values, dtype="<f8").tobytes()
+        table = self.averaged
+        names = list(self.feature_ids)  # in fid order: intern numbers features 0, 1, ...
+        # -0.0 == 0.0, so no zero cell is written.
+        keep = table.cells != 0.0
+        counts = np.bincount(table.cell_rows()[keep], minlength=len(table))
+        rows = counts.nonzero()[0]
+        features = [names[fid] for fid in table.fids[rows].tolist()]
+        offsets = [0] + np.cumsum(counts[rows]).tolist()
+        tag_ids = table.tag_ids[keep].tolist()
+        values = table.cells[keep].astype("<f8").tobytes()
         payload = {
             "format": self.FORMAT_VERSION,
             "tags": self.inventory.tags,
@@ -213,10 +218,6 @@ class Model:
         except (TypeError, ValueError, ConfigError) as exc:
             raise malformed(exc) from None
         R, T = len(features), len(model.inventory)
-        # The table comes before the arrays below: a process that loads
-        # models in turn can then reuse the heap block the last table left,
-        # which smaller arrays allocated first could split.
-        matrix = np.zeros((R, T))
         # validate=True rejects every character outside the base64 alphabet;
         # text that is not ASCII raises ValueError too.
         try:
@@ -240,14 +241,98 @@ class Model:
             raise malformed(f"offsets do not rise from 0 to the {len(values)} values")
         if np.any((tag_ids < 0) | (tag_ids >= T)):
             raise malformed(f"a tag id lies outside the {T} tags")
+        table = SparseTable(T, np.arange(R), offsets, tag_ids, values)
+        # A repeated tag id would be summed by SparseTable.sums but
+        # overwritten in a dense row, so the two would disagree.
+        if np.any((np.diff(tag_ids) <= 0) & (np.diff(table.cell_rows()) == 0)):
+            raise malformed("the tag ids of a row do not strictly ascend")
         # numpy would store NaN, which the search's argmax and its
         # comparisons disagree on.
         if not np.all(np.isfinite(values)):
             raise malformed("a cell of 'values' is not finite")
-        matrix[np.repeat(np.arange(R), np.diff(offsets)), tag_ids] = values
         model.feature_ids = dict(zip(features, range(R)))
-        model.averaged = dict(enumerate(matrix))
+        model.averaged = table
         return model
+
+
+class SparseTable(Mapping):
+    """A table of float64 rows of T cells, as compressed sparse rows: row r
+    belongs to feature id `fids[r]` and holds the cells
+    `offsets[r]:offsets[r + 1]` of `tag_ids`, strictly ascending within the
+    row, and of `cells`.  A cell that is not stored is +0.0.
+
+    As a Mapping it reads feature id -> a fresh dense row, in row order, so
+    writing to a row read from it changes nothing.  Decoding reads the
+    arrays: `sums` adds up the rows of every position of a sentence at once,
+    and `dense` memoises the dense rows that tag-context features add to a
+    score vector.  No dense block of all the rows is ever built."""
+
+    def __init__(self, T: int, fids=(), offsets=(0,), tag_ids=(), cells=()):
+        self.T = T
+        self.fids = np.asarray(fids, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.tag_ids = np.asarray(tag_ids, dtype=np.int64)
+        self.cells = np.asarray(cells, dtype=np.float64)
+        # fid -> row, or -1; the last entry answers every larger fid.
+        self._row = np.full(int(self.fids.max(initial=-1)) + 2, -1, dtype=np.int64)
+        self._row[self.fids] = np.arange(len(self.fids))
+        self.dense = _DenseRows(self)
+
+    def __getitem__(self, fid) -> np.ndarray:
+        r = self._row[min(fid, len(self._row) - 1)] if fid >= 0 else -1
+        if r < 0:
+            raise KeyError(fid)
+        start, end = self.offsets[r], self.offsets[r + 1]
+        row = np.zeros(self.T)
+        row[self.tag_ids[start:end]] = self.cells[start:end]
+        return row
+
+    def __iter__(self):
+        return iter(self.fids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.fids)
+
+    def cell_rows(self) -> np.ndarray:
+        """The row of each cell."""
+        return np.repeat(np.arange(len(self.fids)), np.diff(self.offsets))
+
+    def sums(self, fid_lists) -> np.ndarray:
+        """An array whose row i is the sum of the rows of the feature ids
+        `fid_lists[i]`, in list order; a fid without a row adds nothing.
+
+        One np.bincount over the gathered cells, keyed i * T + tag, adds
+        each bin's cells in input order from +0.0, so row i has the bits of
+        adding the dense rows one by one to a vector of +0.0: a sum that
+        starts at +0.0 never becomes -0.0, so a skipped zero cell changes
+        nothing, and a row adds at most one cell to each bin."""
+        n, T = len(fid_lists), self.T
+        lengths = [len(fids) for fids in fid_lists]
+        fids = np.fromiter(itertools.chain.from_iterable(fid_lists), np.int64, sum(lengths))
+        rows = self._row[np.minimum(fids, len(self._row) - 1)]
+        present = rows >= 0
+        rows = rows[present]
+        positions = np.repeat(np.arange(n), lengths)[present]
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        # The cell indices of each present row in turn.
+        picked = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        keys = np.repeat(positions * T, counts) + self.tag_ids[picked]
+        return np.bincount(keys, self.cells[picked], minlength=n * T).reshape(n, T)
+
+
+class _DenseRows(dict):
+    """fid -> a SparseTable's dense row, or None for a fid without one,
+    built on first use.  Decoding adds these rows to score vectors and
+    never writes to them."""
+
+    def __init__(self, table: SparseTable):
+        super().__init__()
+        self.table = weakref.ref(table)  # the table holds this memo
+
+    def __missing__(self, fid):
+        row = self[fid] = self.table().get(fid)
+        return row
 
 
 # The lexicon and the rule cascade ----------------------------------------
@@ -320,23 +405,31 @@ class _SentenceScorer:
     table.
 
     Static (surface and lexicon) feature ids are computed once per position,
-    and the sum of their weight rows on the position's first scoring.  A
-    query copies that sum and adds the rows of its tag-context features.
-    These are the float additions of summing every row from +0.0, in the
-    same order, so each score is exact.  A sum stays valid while the table
-    does; after a change confined to two columns, `refresh` recomputes
-    those columns of a position's sum and of its cached score vectors."""
+    and so is the sum of their weight rows.  A query copies that sum and
+    adds the rows of its tag-context features.  These are the float
+    additions of summing every row from +0.0, in the same order, so each
+    score is exact.  The construction picks how the table is read.  Training
+    reads the raw weights, a dict of dense rows that its updates write, and
+    sums a position's static rows on its first scoring; a sum stays valid
+    while the table does, and after a change confined to two columns,
+    `refresh` recomputes those columns of a position's sum and of its cached
+    score vectors.  Decoding and `rescore` read the averaged `SparseTable`:
+    one `SparseTable.sums` gives every position's static sum, and the
+    tag-context rows are the table's memoised dense rows."""
 
-    def __init__(self, model: Model, words, table: dict[int, np.ndarray],
-                 cfg: FeatureConfig, suggested, grow: bool):
+    def __init__(self, model: Model, words, table, cfg: FeatureConfig, suggested, grow: bool):
         self.model = model
         self.words = words
-        self.table = table
         self.grow = grow
         self.T = len(model.inventory)
         self.static_ids = [self._intern(word_features(words, i, cfg, suggested[i]))
                            for i in range(len(words))]
         self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
+        if isinstance(table, SparseTable):
+            self.row = table.dense.__getitem__
+            self.static_sums.update(enumerate(table.sums(self.static_ids)))
+        else:
+            self.row = table.get
 
     def _intern(self, feats) -> list[int]:
         ids = self.model.feature_ids
@@ -346,8 +439,9 @@ class _SentenceScorer:
         return [fid for f in feats if (fid := ids.get(f)) is not None]
 
     def _add_rows(self, vec: np.ndarray, fids) -> np.ndarray:
+        row_of = self.row
         for fid in fids:
-            row = self.table.get(fid)
+            row = row_of(fid)
             if row is not None:
                 vec += row
         return vec
@@ -377,9 +471,9 @@ class _SentenceScorer:
             vec[g], vec[c] = self._column_sums(sg, sc, dynamic, g, c)
 
     def _column_sums(self, sg: float, sc: float, fids, g: int, c: int):
-        table = self.table
+        row_of = self.row
         for fid in fids:
-            row = table.get(fid)
+            row = row_of(fid)
             if row is not None:
                 sg += row.item(g)
                 sc += row.item(c)
@@ -651,15 +745,33 @@ class _AveragedAccumulator:
         u[key + g] = u.get(key + g, 0.0) + credit
         u[key + c] = u.get(key + c, 0.0) - credit
 
-    def finalize(self, weights: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """The averaged rows, w - u / k; none before the first update."""
+    def finalize(self, weights: dict[int, np.ndarray]) -> SparseTable:
+        """The averaged rows, w - u / k, as a SparseTable with a row for each
+        raw row, in the raw table's order, holding its nonzero cells; no
+        rows before the first update.
+
+        Every cell an update wrote has an entry in u, so the cells of u are
+        all that can be nonzero, and each is computed as the float
+        operations w - (u / k) on its own."""
+        T = self.T
         if self.k == 0:
-            return {}
-        out = {fid: row.copy() for fid, row in weights.items()}
-        for key, credit in self.u.items():
-            fid, tag = divmod(key, self.T)
-            out[fid][tag] -= credit / self.k
-        return out
+            return SparseTable(T)
+        fids = np.fromiter(weights, np.int64, len(weights))
+        rank = np.empty(int(fids.max()) + 1, dtype=np.int64)
+        rank[fids] = np.arange(len(fids))
+        keys = np.fromiter(self.u, np.int64, len(self.u))
+        credits = np.fromiter(self.u.values(), np.float64, len(self.u))
+        cell_fids, tags = np.divmod(keys, T)
+        rows = rank[cell_fids]
+        order = np.argsort(rows * T + tags)
+        rows, tags, cell_fids = rows[order], tags[order], cell_fids[order]
+        raw = np.array([weights[fid].item(tag)
+                        for fid, tag in zip(cell_fids.tolist(), tags.tolist())])
+        cells = raw - credits[order] / self.k
+        keep = cells != 0.0
+        counts = np.bincount(rows[keep], minlength=len(fids))
+        return SparseTable(T, fids, np.concatenate(([0], np.cumsum(counts))), tags[keep],
+                           cells[keep])
 
 
 def train(corpus: Corpus, lexicon: Lexicon | None = None,

@@ -88,10 +88,12 @@ class TestSpecParsing:
             parse_spec("train=x\ntest=y\nrow: id=1 rule_filter=bogus\n")
         with pytest.raises(FormatError):
             parse_spec("train=x\ntest=y\nrow: id=1 beam=zero\n")
-        # Unknown keys and repeated ids would otherwise run a different
-        # grid from the one written.
+        # Unknown keys, repeated ids and repeated keys (whose last value
+        # used to win) would otherwise run a different grid from the one
+        # written.
         for rows, line in (("row: id=1 lexicon_feature=on\n", 3), ("row: id=2 bema=3\n", 3),
-                           ("row: id=1\nrow: id=1 beam=2\n", 4)):
+                           ("row: id=1\nrow: id=1 beam=2\n", 4),
+                           ("row: id=1 beam=2 beam=3\n", 3), ("row: id=1 id=2\n", 3)):
             with pytest.raises(FormatError) as info:
                 parse_spec("train=x\ntest=y\n" + rows, path="grid.spec")
             assert str(info.value).startswith(f"grid.spec:{line}: ")
@@ -102,6 +104,10 @@ class TestSpecParsing:
         with pytest.raises(FormatError) as info:
             parse_spec("train=x\ntest=y\nepoch=1\n", path="grid.spec")
         assert str(info.value) == "grid.spec:3: unknown key 'epoch'"
+        for text, line in (("epochs=3\nepochs=1\n", 4), ("train=z\n", 3)):
+            with pytest.raises(FormatError) as info:
+                parse_spec("train=x\ntest=y\n" + text, path="grid.spec")
+            assert str(info.value).startswith(f"grid.spec:{line}: repeated key ")
 
 
 class TestRunExperiment:
@@ -385,6 +391,11 @@ class TestCliTrainTag:
                                    "values": _b64(1.0, 2.0)},
         "model-duplicate-feature": {"features": ["w0=a", "w0=a"], "offsets": [0, 1, 2],
                                     "tag_ids": [0, 1], "values": _b64(1.0, 2.0)},
+        # A repeated tag id used to load as its last value.
+        "model-tag-id-repeated": {"offsets": [0, 2], "tag_ids": [1, 1],
+                                  "values": _b64(1.0, 2.0)},
+        "model-tag-ids-descend": {"offsets": [0, 2], "tag_ids": [1, 0],
+                                  "values": _b64(1.0, 2.0)},
         "model-values-count": {"values": _b64(1.0, 2.0)},
         # `values` as a JSON array, as formats 2 and 3 wrote it.
         "model-values-list": {"values": [1.0]},

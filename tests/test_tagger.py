@@ -1,8 +1,10 @@
 import hashlib
+import json
 import os
 import random
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_lexicon
-from morphtag.corpus import Sentence, Token
+from morphtag.corpus import Corpus, Sentence, Token
 from morphtag.errors import ConfigError, DataError
 from morphtag.features import FeatureConfig
 from morphtag.lexicon import Lexicon
@@ -19,7 +21,7 @@ from morphtag import rules as rules_mod, tagger as tagger_mod
 from morphtag.rules import RuleCascade, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
-from morphtag.tagger import (DecodeOptions, Model, TrainOptions,
+from morphtag.tagger import (DecodeOptions, Model, SparseTable, TrainOptions,
                              _AveragedAccumulator, _lexicon_pass, _top_tags, decode,
                              decode_with_trace, rescore, train)
 from morphtag.tagset import TagInventory
@@ -33,6 +35,20 @@ def small_setup(seed=3, sentences=30, tags=8, vocab=40, ambiguity=0.3):
     cfg = SyntheticConfig(tag_count=tags, vocab_size=vocab,
                           sentence_count=sentences, ambiguity_rate=ambiguity)
     return generate_synthetic(cfg, seed)
+
+
+def rounded(table: SparseTable, scale: float = 5.0) -> SparseTable:
+    """The table with every stored cell scaled and rounded to an integer, so
+    that many tags tie exactly; small cells become zeros, -0.0 included."""
+    return SparseTable(table.T, table.fids, table.offsets, table.tag_ids,
+                       np.round(table.cells * scale))
+
+
+def dense_table(T: int, rows: dict) -> SparseTable:
+    """A SparseTable storing every cell of the given dense rows, zeros and
+    -0.0 included, in the dict's order."""
+    return SparseTable(T, list(rows), range(0, T * len(rows) + 1, T),
+                       list(range(T)) * len(rows), [c for row in rows.values() for c in row])
 
 
 class TestOptions:
@@ -210,8 +226,7 @@ class TestTopTags:
         on a copy of each pair's sums."""
         corpus, lex = small_setup(seed=5, sentences=30, tags=10, vocab=60)
         model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
-        for row in model.averaged.values():
-            np.round(row * 5, out=row)
+        model.averaged = rounded(model.averaged)
 
         def outputs():
             return repr([decode_with_trace(s, model, lex, dopts=DecodeOptions(beam_size=3))
@@ -527,10 +542,11 @@ class TestScoreCacheExact:
 
 @st.composite
 def _averaged_tables(draw):
-    """(T, unused feature count, [(feature number, averaged row)])."""
+    """(T, unused feature count, [(feature number, averaged row)]).  0.1,
+    0.2, 0.3 and 1e16 make sums that depend on the order of addition."""
     T = draw(st.integers(1, 5))
     cell = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
-                                      1.7976931348623157e308]),
+                                      1.7976931348623157e308, 0.1, 0.2, 0.3, 1e16]),
                      st.floats(allow_nan=False, allow_infinity=False))
     row = st.one_of(st.lists(cell, min_size=T, max_size=T),
                     st.lists(st.sampled_from([0.0, -0.0]), min_size=T, max_size=T))
@@ -588,12 +604,12 @@ class TestPersistence:
     @settings(max_examples=80, deadline=None)
     @given(_averaged_tables())
     def test_round_trip_random_tables(self, table):
-        """Random sparse averaged tables, with -0.0, subnormals, +-1e308 and
-        all-zero rows, in any row order."""
+        """Random averaged tables, with -0.0, subnormals, +-1e308 and
+        all-zero rows, in any row order; every cell is stored, so saving
+        has to skip the zero ones."""
         T, extra, rows = table
         model = Model(TagInventory([f"T{t}" for t in range(T)]), FeatureConfig())
-        for fid, row in rows:
-            model.averaged[model.intern(f"f{fid}")] = np.array(row)
+        model.averaged = dense_table(T, {model.intern(f"f{fid}"): row for fid, row in rows})
         for k in range(extra):
             model.intern(f"unused{k}")
         with tempfile.TemporaryDirectory() as d:
@@ -623,11 +639,91 @@ class TestPersistence:
         s = corpus.sentences[0]
         assert decode(s, loaded) == decode(s, model) == (["A", "A"], 0.0)
 
+    @pytest.mark.parametrize("tag_ids", [[1, 1], [1, 0]])
+    def test_tag_ids_ascend_within_a_row(self, tag_ids, tmp_path):
+        """A repeated tag id used to load as its last value, and descending
+        ids loaded too; a new row may start at any tag."""
+        model = Model(TagInventory(["A", "B"]), FeatureConfig(use_lexicon_features=False))
+        model.intern("w0=a")
+        model.intern("w0=b")
+        model.averaged = SparseTable(2, [0, 1], [0, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0])
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert Model.load(path).averaged[1].tolist() == [3.0, 0.0]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["tag_ids"][:2] = tag_ids
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="tag ids of a row do not strictly ascend"):
+            Model.load(path)
+
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format": 99}')
         with pytest.raises(DataError):
             Model.load(path)
+
+
+class TestSparseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(_averaged_tables(), st.lists(st.lists(st.integers(0, 9), max_size=12), max_size=6))
+    def test_sums_equal_sequential_dense_adds(self, table, positions):
+        """The static sums of a sentence, one bincount over its cells, have
+        the bits of adding each dense row in turn to +0.0: with the zero
+        cells stored (-0.0 included) or left out, subnormal cells, repeated
+        and unknown feature ids, and +-1e308 cells whose sums overflow to
+        inf (and to NaN from inf - inf)."""
+        T, _, rows = table
+        full = dense_table(T, dict(rows))
+        keep = full.cells != 0.0
+        counts = np.bincount(full.cell_rows()[keep], minlength=len(full))
+        nonzero = SparseTable(T, full.fids, np.concatenate(([0], np.cumsum(counts))),
+                              full.tag_ids[keep], full.cells[keep])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sparse in (full, nonzero):
+                sums = sparse.sums(positions)
+                assert sums.shape == (len(positions), T)
+                for fids, got in zip(positions, sums):
+                    vec = np.zeros(T)
+                    for fid in fids:
+                        if fid in full:
+                            vec += full[fid]
+                    assert got.tobytes() == vec.tobytes()
+
+    def test_mapping_reads_fresh_dense_rows(self):
+        table = SparseTable(3, [7, 2], [0, 2, 2], [0, 2], [1.5, -2.0])
+        assert list(table) == [7, 2] and len(table) == 2
+        assert table[7].tolist() == [1.5, 0.0, -2.0] and table[2].tolist() == [0.0] * 3
+        assert 3 not in table and 8 not in table and table.get(-1) is None
+        table[7][0] = 9.0
+        assert table[7][0] == 1.5 and table.sums([[7]])[0, 0] == 1.5
+
+    def test_no_dense_table(self, tmp_path):
+        """Neither the averaged table that training returns nor the one a
+        load builds holds a dense block of its rows.  At 680 tags (the
+        tagger-680-all benchmark shape) such a block is about 25 MB; the
+        sparse tables retain well under 4 MB."""
+        cfg = SyntheticConfig(tag_count=680, vocab_size=3000, sentence_count=500,
+                              min_sentence_len=15, max_sentence_len=15, ambiguity_rate=0.3)
+        corpus, lex = generate_synthetic(cfg, 5)
+        tr, _ = split_corpus(corpus, (0.8, 0.2))
+        path = tmp_path / "model.json"
+        bound = 4 * 2 ** 20
+        tracemalloc.start()
+        try:
+            model, _ = train(Corpus(tr.sentences[:30]), lex, topts=TrainOptions(epochs=2))
+            model.save(path)
+            rows, T = len(model.averaged), len(model.inventory)
+            with_table = tracemalloc.get_traced_memory()[0]
+            model.averaged = None
+            trained = with_table - tracemalloc.get_traced_memory()[0]
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = Model.load(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows * T * 8 > 5 * bound  # a dense table would not fit the bound
+        assert len(loaded.averaged) > 0.9 * rows
+        assert trained < bound and retained < bound, (trained, retained)
 
 
 class TestGeneralization:
@@ -739,8 +835,7 @@ class TestGolden:
         model, _ = train(tr, lex, cascade, TrainOptions(epochs=3, candidate_source=source),
                          cfg)
         if case == "all-ties":
-            for row in model.averaged.values():
-                np.round(row * 5, out=row)
+            model.averaged = rounded(model.averaged)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = Model.load(path)
