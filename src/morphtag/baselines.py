@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, text_lines
 from .errors import DataError, FormatError
 from .lexicon import Lexicon
 
@@ -88,8 +88,7 @@ def load_guesser(text: str, path=None) -> SuffixGuesser:
     `DEFAULT<TAB>tag` line."""
     rules = []
     default = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text_lines(text), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

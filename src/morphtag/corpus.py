@@ -1,7 +1,9 @@
 """Tagged corpora in the vertical one-token-per-line format, plus statistics.
 
 Format: each non-blank line is `surface<TAB>tag` or a bare `surface`; a
-blank line ends a sentence.  UTF-8, LF canonical (CRLF tolerated on read).
+blank or whitespace-only line ends a sentence.  UTF-8, LF canonical (CRLF
+tolerated on read).  Every text format of the package breaks lines the same
+way, with `text_lines`.
 """
 
 from __future__ import annotations
@@ -76,6 +78,17 @@ def read_text(path) -> str:
         raise FormatError(f"not UTF-8: {exc}", path=path) from None
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of a text file, split at "\n" alone; a line loses one
+    trailing "\r", so CRLF reads as LF.  Unlike str.splitlines, a form
+    feed, a lone "\r" or any other Unicode line boundary stays inside its
+    line, so line numbers count "\n" characters."""
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
 def write_text(path, text: str):
     """Write a whole UTF-8 file; a file that cannot be written is a
     ConfigError."""
@@ -91,25 +104,28 @@ def read_vertical(text: str, path=None) -> Corpus:
     blank line is accepted."""
     sentences: list[Sentence] = []
     tokens: list[Token] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            if tokens:
-                sentences.append(Sentence(tuple(tokens)))
-                tokens = []
-            continue
-        fields = line.split("\t")
-        if len(fields) > 2:
-            raise FormatError(f"expected at most 2 tab-separated fields, got {len(fields)}",
-                              lineno, path)
-        surface = fields[0]
-        if not surface:
-            raise FormatError("empty surface form", lineno, path)
-        tag = fields[1] if len(fields) == 2 and fields[1] else None
-        try:
-            tokens.append(Token(surface, tag))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno, path) from None
+    parsed: dict[str, Token] = {}  # line -> its token; corpora repeat most lines
+    for lineno, line in enumerate(text_lines(text), 1):
+        tok = parsed.get(line)
+        if tok is None:
+            if not line or line.isspace():
+                if tokens:
+                    sentences.append(Sentence(tuple(tokens)))
+                    tokens = []
+                continue
+            fields = line.split("\t")
+            if len(fields) > 2:
+                raise FormatError(f"expected at most 2 tab-separated fields, got {len(fields)}",
+                                  lineno, path)
+            surface = fields[0]
+            if not surface:
+                raise FormatError("empty surface form", lineno, path)
+            tag = fields[1] if len(fields) == 2 and fields[1] else None
+            try:
+                tok = parsed[line] = Token(surface, tag)
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno, path) from None
+        tokens.append(tok)
     if tokens:
         sentences.append(Sentence(tuple(tokens)))
     return Corpus(tuple(sentences))

@@ -28,7 +28,7 @@ import logging
 import os
 from dataclasses import astuple, dataclass, field
 
-from .corpus import read_text, read_vertical
+from .corpus import read_text, read_vertical, text_lines
 from .errors import ConfigError, FormatError
 from .evaluation import evaluate
 from .features import FeatureConfig
@@ -81,7 +81,7 @@ def _parse_bool(value, lineno, path):
 def parse_spec(text: str, base_dir: str = ".", path=None) -> ExperimentSpec:
     keys: dict[str, str | int] = {}
     rows: list[GridRow] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,7 +1,8 @@
 """Morphological lexicon: wordform -> admissible tags (optionally with lemmas).
 
 File format: one `surface<TAB>tag[<TAB>lemma]` line per reading; repeated
-surfaces accumulate readings.
+surfaces accumulate readings.  Lines break at "\n" alone (`text_lines`);
+blank and whitespace-only lines are skipped.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, text_lines
 from .errors import DataError, FormatError
 
 
@@ -61,9 +62,8 @@ class Lexicon:
 
 def load_lexicon(text: str, path=None) -> Lexicon:
     entries: dict[str, LexiconEntry] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
+    for lineno, line in enumerate(text_lines(text), 1):
+        if not line or line.isspace():
             continue
         fields = line.split("\t")
         if len(fields) not in (2, 3):
@@ -73,17 +73,20 @@ def load_lexicon(text: str, path=None) -> Lexicon:
         if not surface or not tag:
             raise FormatError("empty surface or tag", lineno, path)
         lemma = fields[2] if len(fields) == 3 and fields[2] else None
-        entry = entries.setdefault(surface, LexiconEntry(surface))
-        if tag in entry.readings:
-            old = entry.readings[tag]
+        entry = entries.get(surface)
+        if entry is None:
+            entry = entries[surface] = LexiconEntry(surface)
+        readings = entry.readings
+        if tag in readings:
+            old = readings[tag]
             if lemma is not None and old is not None and lemma != old:
                 raise DataError(
                     f"{path or '<lexicon>'}:{lineno}: conflicting lemmas for "
                     f"({surface!r}, {tag!r}): {old!r} vs {lemma!r}")
             if lemma is not None:
-                entry.readings[tag] = lemma
+                readings[tag] = lemma
         else:
-            entry.readings[tag] = lemma
+            readings[tag] = lemma
     return Lexicon(entries)
 
 

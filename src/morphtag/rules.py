@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, text_lines
 from .errors import DataError, FormatError
 from .lexicon import lexicon_sets
 
@@ -106,7 +106,7 @@ def parse_rules(text: str, path=None) -> RuleCascade:
     conditions: list[Condition] = []
     action = None
     patterns: tuple[str, ...] = ()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

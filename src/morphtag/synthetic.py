@@ -7,6 +7,7 @@ lexicon tags.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import zlib
@@ -73,10 +74,15 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[Corpus, Lexi
         else:
             word_tags[word] = [rng.choice(tags)]
 
-    weights = [1.0 / (rank + 2) for rank in range(config.vocab_size)]  # Zipf-ish
+    # Zipf-ish.  random.choices(weights=) builds this same running sum on
+    # every call; built once, the draws are the same.
+    cum_weights = list(itertools.accumulate(1.0 / (rank + 2)
+                                            for rank in range(config.vocab_size)))
 
-    def pick_tag(word: str, prev: str) -> str:
-        choices = word_tags[word]
+    word_tokens = {word: [Token(word, tag) for tag in word_tags[word]] for word in vocab}
+
+    def pick_token(word: str, prev: str) -> Token:
+        choices = word_tokens[word]
         if len(choices) == 1:
             return choices[0]
         h = zlib.crc32(f"{seed}:{prev}|{word}".encode("utf-8"))
@@ -85,11 +91,11 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[Corpus, Lexi
     sentences = []
     for _ in range(config.sentence_count):
         length = rng.randint(config.min_sentence_len, config.max_sentence_len)
-        words = rng.choices(vocab, weights=weights, k=length)
+        words = rng.choices(vocab, cum_weights=cum_weights, k=length)
         prev = "<s>"
         toks = []
         for word in words:
-            toks.append(Token(word, pick_tag(word, prev)))
+            toks.append(pick_token(word, prev))
             prev = word
         sentences.append(Sentence(tuple(toks)))
 
@@ -146,7 +152,9 @@ def generate_lemma_lexicon(paradigm_count: int, forms_per_paradigm: int,
             lemma = stem + lemma_suffix
             for tag, form_suffix in forms:
                 surface = stem + form_suffix
-                entry = entries.setdefault(surface, LexiconEntry(surface))
+                entry = entries.get(surface)
+                if entry is None:
+                    entry = entries[surface] = LexiconEntry(surface)
                 entry.readings[tag] = lemma
     return Lexicon(entries)
 

@@ -305,7 +305,9 @@ class SparseTable(Mapping):
         each bin's cells in input order from +0.0, so row i has the bits of
         adding the dense rows one by one to a vector of +0.0: a sum that
         starts at +0.0 never becomes -0.0, so a skipped zero cell changes
-        nothing, and a row adds at most one cell to each bin."""
+        nothing, and a row adds at most one cell to each bin.  The sums are
+        float64 even when no cell is gathered (bincount then counts in
+        int64)."""
         n, T = len(fid_lists), self.T
         lengths = [len(fids) for fids in fid_lists]
         fids = np.fromiter(itertools.chain.from_iterable(fid_lists), np.int64, sum(lengths))
@@ -318,7 +320,8 @@ class SparseTable(Mapping):
         # The cell indices of each present row in turn.
         picked = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
         keys = np.repeat(positions * T, counts) + self.tag_ids[picked]
-        return np.bincount(keys, self.cells[picked], minlength=n * T).reshape(n, T)
+        sums = np.bincount(keys, self.cells[picked], minlength=n * T)
+        return sums.astype(np.float64, copy=False).reshape(n, T)
 
 
 class _DenseRows(dict):

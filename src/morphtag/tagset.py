@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corpus import text_lines
 from .errors import FormatError, SchemaError
 
 
@@ -126,7 +127,7 @@ def parse_schema(text: str, path=None) -> TagSchema:
     """
     classes: dict[str, ClassLayout] = {}
     punct: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from morphtag.corpus import Token, read_vertical, stats, write_vertical
+from morphtag.baselines import load_guesser
+from morphtag.corpus import Token, read_vertical, stats, text_lines, write_vertical
 from morphtag.errors import ConfigError, DataError, FormatError
-from morphtag.lexicon import dump_lexicon
-from morphtag.rules import format_rules
-from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
-                                split_corpus)
+from morphtag.experiment import parse_spec
+from morphtag.lexicon import Lexicon, dump_lexicon, load_lexicon
+from morphtag.rules import format_rules, parse_rules
+from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_lemma_lexicon,
+                                generate_synthetic, split_corpus)
+from morphtag.tagset import parse_schema
 
 
 class TestToken:
@@ -69,6 +72,73 @@ class TestReadVertical:
     def test_empty_surface(self):
         with pytest.raises(FormatError):
             read_vertical("\tX\n")
+
+
+# Each malformed line kind of the two tab-separated formats: the parser, the
+# text, the error and its full message (path and line number included).
+MALFORMED_LINES = [
+    (read_vertical, "a\tX\n\nb\tX\tY\n", FormatError,
+     "f.tsv:3: expected at most 2 tab-separated fields, got 3"),
+    (read_vertical, "a\tX\n\tX\n", FormatError, "f.tsv:2: empty surface form"),
+    (read_vertical, " \n\t\na b\tX\n", FormatError, "f.tsv:3: bad token surface 'a b'"),
+    (load_lexicon, "a\tX\nb\n", FormatError,
+     "f.tsv:2: expected 2 or 3 tab-separated fields, got 1"),
+    (load_lexicon, " \n\t\na\tX\tl\tz\n", FormatError,
+     "f.tsv:3: expected 2 or 3 tab-separated fields, got 4"),
+    (load_lexicon, "\tX\n", FormatError, "f.tsv:1: empty surface or tag"),
+    (load_lexicon, "a\tX\na\t\n", FormatError, "f.tsv:2: empty surface or tag"),
+    (load_lexicon, "a\tX\tl1\n \t\na\tX\tl2\n", DataError,
+     "f.tsv:3: conflicting lemmas for ('a', 'X'): 'l1' vs 'l2'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", MALFORMED_LINES)
+def test_malformed_line_message(parse, text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text, "f.tsv")
+    assert str(exc.value) == message
+
+
+def test_whitespace_only_lines_skipped():
+    corpus = read_vertical("a\tX\n \t\nb\tY\n\t\n\nc\n", "f.tsv")
+    assert [s.surfaces() for s in corpus] == [["a"], ["b"], ["c"]]
+    assert dump_lexicon(load_lexicon(" \na\tX\n\t \nb\tY\tl\n", "f.tsv")) == "a\tX\nb\tY\tl\n"
+
+
+# Every text format, as (parser, a valid file, the same file with a form
+# feed inside line 1 that makes it malformed).  str.splitlines breaks a line
+# at a form feed; split that way, none of these would fail at line 1.
+LINE_RULE_FORMATS = {
+    "corpus": (read_vertical, "a\tX\nb\tY\n\nc\tX\n", "a\x0cb\tX\n"),
+    "lexicon": (load_lexicon, "a\tX\na\tY\tl\n", "a\tX\x0cb\tY\tZ\n"),
+    "guesser": (load_guesser, "# table\na\tX\nDEFAULT\tY\n", "a\tX\x0cb\tY\nDEFAULT\tZ\n"),
+    "rules": (parse_rules, "RULE r\nIF 0 SURFACE-IN a\nTHEN RETAIN X\nEND\n",
+              "RULE r\x0cIF 0 SURFACE-IN a\nTHEN RETAIN X\nEND\n"),
+    "spec": (parse_spec, "train=a.tsv\ntest=b.tsv\nseed=1\n", "seed=1\x0ctrain=a.tsv\ntest=b.tsv\n"),
+    "schema": (parse_schema, "punct U\nA *\n", "punct U\x0cA *\n"),
+}
+
+
+class TestLineRule:
+    def test_text_lines(self):
+        assert text_lines("a\r\nb\rc\x0cd\x85e\u2028f\n\r\n") == [
+            "a", "b\rc\x0cd\x85e\u2028f", "", ""]
+        assert text_lines("a\r\r\n") == ["a\r", ""] and text_lines("") == [""]
+
+    @pytest.mark.parametrize("name", LINE_RULE_FORMATS)
+    def test_crlf_reads_as_lf(self, name):
+        parse, text, _ = LINE_RULE_FORMATS[name]
+        lf, crlf = parse(text, path="f"), parse(text.replace("\n", "\r\n"), path="f")
+        if isinstance(lf, Lexicon):
+            lf, crlf = lf.entries, crlf.entries
+        assert crlf == lf
+
+    @pytest.mark.parametrize("name", LINE_RULE_FORMATS)
+    def test_form_feed_stays_in_its_line(self, name):
+        parse, _, text = LINE_RULE_FORMATS[name]
+        with pytest.raises(FormatError) as exc:
+            parse(text, path="f")
+        assert exc.value.line == 1 and str(exc.value).startswith("f:1: ")
 
 
 class TestWriteVertical:
@@ -132,6 +202,17 @@ class TestSyntheticGenerator:
         assert max(len(e.readings) for e in lexicon.entries.values()) == 3
         text = write_vertical(corpus) + dump_lexicon(lexicon) + format_rules(cascade)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "5784f18f587bb3ed330dfdbd7e734aef89dd158161020d5b2fe3353dffe6afb0"),
+        (11, "ea7a44a3c030f4b414f7baea2e8adc7de0c6d0d3ca9ad0a72b84676d76cdb06a"),
+    ])
+    def test_lemma_lexicon_pinned(self, seed, digest):
+        """sha256 of the lemma lexicon's file; a surface can carry several
+        readings (up to four at seed 11)."""
+        lexicon = generate_lemma_lexicon(12, 6, 8, seed)
+        assert max(len(e.readings) for e in lexicon.entries.values()) > 1
+        assert hashlib.sha256(dump_lexicon(lexicon).encode()).hexdigest() == digest
 
     def test_seeds_differ(self):
         cfg = SyntheticConfig(tag_count=8, vocab_size=50, sentence_count=10)

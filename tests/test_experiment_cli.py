@@ -436,6 +436,17 @@ class TestCliTrainTag:
             assert loaded.cfg == FeatureConfig(use_lexicon_features=False)
             assert loaded.averaged[0].tolist() == [0.0, 1.0]
 
+    def test_model_without_static_rows_tags(self, tmp_path):
+        """A model whose only row is a tag-context feature: no static
+        feature of the input has a row, so every static sum is empty."""
+        corpus, model, out = tmp_path / "corpus.tsv", tmp_path / "model.json", tmp_path / "out.tsv"
+        corpus.write_text("x\ny\n\n", encoding="utf-8")
+        model.write_text(json.dumps({**self.MODEL, "features": ["t-1=A"],
+                                     "values": _b64(1.5)}), encoding="utf-8")
+        assert main(["tag", "--model", str(model), "--input", str(corpus),
+                     "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "x\tA\ny\tB\n\n"
+
     @pytest.mark.parametrize("case, expected", [
         ("missing-model", 3),
         ("model-not-json", 2),

@@ -681,13 +681,23 @@ class TestSparseTable:
         with np.errstate(over="ignore", invalid="ignore"):
             for sparse in (full, nonzero):
                 sums = sparse.sums(positions)
-                assert sums.shape == (len(positions), T)
+                assert sums.shape == (len(positions), T) and sums.dtype == np.float64
                 for fids, got in zip(positions, sums):
                     vec = np.zeros(T)
                     for fid in fids:
                         if fid in full:
                             vec += full[fid]
                     assert got.tobytes() == vec.tobytes()
+
+    def test_sums_are_float_without_cells(self):
+        """bincount over no cells counts in int64; the sums stay float64, so
+        a score vector can still take float rows in place."""
+        empty = SparseTable(3, [], [0], [], [])
+        table = SparseTable(3, [7], [0, 1], [2], [1.5])
+        for sparse, positions in ((empty, [[0, 1], []]), (table, [[0], [8, 9]]), (table, [])):
+            sums = sparse.sums(positions)
+            assert sums.dtype == np.float64 and sums.shape == (len(positions), 3)
+            assert not sums.any()
 
     def test_mapping_reads_fresh_dense_rows(self):
         table = SparseTable(3, [7, 2], [0, 2, 2], [0, 2], [1.5, -2.0])
