@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Corpus, Sentence, text_lines
+from .corpus import Corpus, Sentence, _has_space, text_lines
 from .errors import DataError, FormatError
 from .lexicon import Lexicon
 
@@ -23,22 +23,46 @@ UNTAGGABLE = "<UNTAGGABLE>"
 class MftTable:
     surface_counts: dict[str, Counter]
     class_counts: dict[str, Counter]  # sorted lexicon tags, ";"-joined -> tag counts
+    # The decisions the taggers read, made once by build_mft: each surface's
+    # and each class's most frequent tags, sorted, and the sorted training
+    # tags an out-of-lexicon token picks from (UNTAGGABLE alone if none).
+    surface_best: dict[str, tuple[str, ...]]
+    class_best: dict[str, tuple[str, ...]]
+    fallback: tuple[str, ...]
 
 
 def build_mft(corpus: Corpus, lexicon: Lexicon | None = None) -> MftTable:
     """Count gold tags per surface and, when a lexicon is given, per
-    lexicon tag-class."""
+    lexicon tag-class, then make every decision the taggers read from them."""
+    # Counted per distinct (surface, tag) pair, in first-seen order, so every
+    # table keeps the order in which its keys first occur in the corpus.
+    pairs = Counter((tok.surface, tok.gold_tag) for tok in corpus.tokens())
     surface_counts: dict[str, Counter] = {}
     class_counts: dict[str, Counter] = {}
-    for tok in corpus.tokens():
-        if tok.gold_tag is None:
-            raise DataError(f"token {tok.surface!r} has no gold tag")
-        surface_counts.setdefault(tok.surface, Counter())[tok.gold_tag] += 1
-        if lexicon is not None:
-            tags = lexicon.tags(tok.surface)
-            if tags is not None:
-                class_counts.setdefault(";".join(sorted(tags)), Counter())[tok.gold_tag] += 1
-    return MftTable(surface_counts, class_counts)
+    class_of: dict[str, Counter | None] = {}  # surface -> its class's counts
+    for (surface, tag), n in pairs.items():
+        if tag is None:
+            raise DataError(f"token {surface!r} has no gold tag")
+        counts = surface_counts.get(surface)
+        if counts is None:
+            counts = surface_counts[surface] = Counter()
+            tags = lexicon.tags(surface) if lexicon is not None else None
+            if tags is None:
+                class_of[surface] = None
+            else:
+                key = ";".join(sorted(tags))
+                cls = class_counts.get(key)
+                if cls is None:
+                    cls = class_counts[key] = Counter()
+                class_of[surface] = cls
+        counts[tag] = n
+        cls = class_of[surface]
+        if cls is not None:
+            cls[tag] += n
+    return MftTable(surface_counts, class_counts,
+                    {s: _most_frequent(c) for s, c in surface_counts.items()},
+                    {k: _most_frequent(c) for k, c in class_counts.items()},
+                    tuple(sorted({tag for _, tag in pairs})) or (UNTAGGABLE,))
 
 
 def _seeded_choice(options, seed: int, surface: str) -> str:
@@ -46,11 +70,12 @@ def _seeded_choice(options, seed: int, surface: str) -> str:
     return rng.choice(sorted(options))
 
 
-def _most_frequent(counts: Counter):
-    """(set of argmax tags, whether the maximum is unique)."""
+def _most_frequent(counts: Counter) -> tuple[str, ...]:
+    """The tags of the highest count, sorted."""
+    if len(counts) == 1:
+        return tuple(counts)
     top = max(counts.values())
-    best = {tag for tag, c in counts.items() if c == top}
-    return best, len(best) == 1
+    return tuple(sorted(tag for tag, c in counts.items() if c == top))
 
 
 # Unknown-word strategies -------------------------------------------------
@@ -94,6 +119,9 @@ def load_guesser(text: str, path=None) -> SuffixGuesser:
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError("expected `suffix<TAB>tag`", lineno, path)
+        for name, value in zip(("suffix", "tag"), fields):
+            if _has_space(value):
+                raise FormatError(f"whitespace in {name} {value!r}", lineno, path)
         if fields[0] == "DEFAULT":
             default = fields[1]
         else:
@@ -107,12 +135,12 @@ def load_guesser(text: str, path=None) -> SuffixGuesser:
 
 def tag_mft(sentence: Sentence, table: MftTable, strategy, seed: int = 0) -> list[str]:
     """MFT tagging with one of the three lexicon-free unknown strategies."""
+    surface_best = table.surface_best
     out = []
     for tok in sentence.tokens:
-        counts = table.surface_counts.get(tok.surface)
-        if counts:
-            best, _ = _most_frequent(counts)
-            out.append(next(iter(best)) if len(best) == 1
+        best = surface_best.get(tok.surface)
+        if best is not None:
+            out.append(best[0] if len(best) == 1
                        else _seeded_choice(best, seed, tok.surface))
         elif isinstance(strategy, FailUnknown):
             out.append(UNTAGGABLE)
@@ -134,24 +162,20 @@ def tag_mft_lexicon(sentence: Sentence, table: MftTable, lexicon: Lexicon,
     else (3) a seeded-random member of the tag-class.  Tokens absent from
     the lexicon fall back to a seeded-random choice over all training tags.
     """
-    fallback = {t for c in table.surface_counts.values() for t in c}
+    surface_best = table.surface_best
     out = []
     for tok in sentence.tokens:
-        counts = table.surface_counts.get(tok.surface)
-        if counts:
-            best, unique = _most_frequent(counts)
-            if unique:
-                out.append(next(iter(best)))
-                continue
+        best = surface_best.get(tok.surface)
+        if best is not None and len(best) == 1:
+            out.append(best[0])
+            continue
         tags = lexicon.tags(tok.surface)
         if tags is None:
-            out.append(_seeded_choice(fallback or {UNTAGGABLE}, seed, tok.surface))
+            out.append(_seeded_choice(table.fallback, seed, tok.surface))
             continue
-        class_counts = table.class_counts.get(";".join(sorted(tags)))
-        if class_counts:
-            best, unique = _most_frequent(class_counts)
-            if unique:
-                out.append(next(iter(best)))
-                continue
+        best = table.class_best.get(";".join(sorted(tags)))
+        if best is not None and len(best) == 1:
+            out.append(best[0])
+            continue
         out.append(_seeded_choice(tags, seed, tok.surface))
     return out

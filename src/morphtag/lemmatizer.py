@@ -42,64 +42,81 @@ class LemmaRuleSet:
     def __len__(self):
         return len(self.counts)
 
+    def _node(self, tag: str, old_end: str) -> _TrieNode:
+        """The trie node of (tag, old_end), made with its path if absent."""
+        node = self._tries.get(tag)
+        if node is None:
+            node = self._tries[tag] = _TrieNode()
+        for ch in reversed(old_end):
+            child = node.children.get(ch)
+            if child is None:
+                child = node.children[ch] = _TrieNode()
+            node = child
+        return node
+
     def add(self, rule: LemmaRule, source: str | None = None):
-        root = self._tries.setdefault(rule.tag, _TrieNode())
-        node = root
-        for ch in reversed(rule.old_end):
-            node = node.children.setdefault(ch, _TrieNode())
+        node = self._node(rule.tag, rule.old_end)
         if node.new_end is not None and node.new_end != rule.new_end:
-            where = f" (from {source})" if source else ""
-            raise DataError(
-                f"conflicting rules for ({rule.tag}, -{rule.old_end or 'ε'}): "
-                f"-> {node.new_end!r} vs -> {rule.new_end!r}{where}")
+            raise _conflict(rule.tag, rule.old_end, node.new_end, rule.new_end, source)
         node.new_end = rule.new_end
         self.counts[rule] = self.counts.get(rule, 0) + 1
 
     def match(self, surface: str, tag: str) -> tuple[str, str] | None:
         """Longest old_end that suffixes `surface`, or None."""
-        root = self._tries.get(tag)
-        if root is None:
+        node = self._tries.get(tag)
+        if node is None:
             return None
-        best = (None, None)
-        node = root
-        matched = []
-        if node.new_end is not None:
-            best = ("", node.new_end)
+        new_end = node.new_end
+        depth = matched = 0
         for ch in reversed(surface):
             node = node.children.get(ch)
             if node is None:
                 break
-            matched.append(ch)
+            depth += 1
             if node.new_end is not None:
-                best = ("".join(reversed(matched)), node.new_end)
-        if best[0] is None:
+                matched, new_end = depth, node.new_end
+        if new_end is None:
             return None
-        return best
+        return surface[len(surface) - matched:], new_end
 
     def rules(self):
         return sorted(self.counts, key=lambda r: (r.tag, r.old_end, r.new_end))
 
 
-def _extract_rule(wordform: str, tag: str, lemma: str) -> LemmaRule:
-    i = 0
-    limit = min(len(wordform), len(lemma))
-    while i < limit and wordform[i] == lemma[i]:
-        i += 1
-    return LemmaRule(tag, wordform[i:], lemma[i:])
+def _conflict(tag: str, old_end: str, new_end: str, other: str,
+              source: str | None) -> DataError:
+    where = f" (from {source})" if source else ""
+    return DataError(f"conflicting rules for ({tag}, -{old_end or 'ε'}): "
+                     f"-> {new_end!r} vs -> {other!r}{where}")
 
 
 def generate_rules(lexicon: Lexicon) -> LemmaRuleSet:
     """One rewrite rule per (wordform, tag, lemma) in the lexicon, aligned on
     the longest common prefix; identical rules are deduplicated with their
     provenance counted.  Every reading must carry a lemma."""
-    ruleset = LemmaRuleSet()
+    counts: dict[tuple[str, str, str], int] = {}  # (tag, old_end, new_end) -> readings
+    new_ends: dict[tuple[str, str], str] = {}     # (tag, old_end) -> its new_end
     for surface in sorted(lexicon.entries):
-        entry = lexicon.entries[surface]
-        for tag in sorted(entry.readings):
-            lemma = entry.readings[tag]
+        readings = lexicon.entries[surface].readings
+        for tag in sorted(readings):
+            lemma = readings[tag]
             if lemma is None:
                 raise DataError(f"lexicon reading ({surface!r}, {tag!r}) has no lemma")
-            ruleset.add(_extract_rule(surface, tag, lemma), source=surface)
+            i = 0
+            limit = min(len(surface), len(lemma))
+            while i < limit and surface[i] == lemma[i]:
+                i += 1
+            old_end, new_end = surface[i:], lemma[i:]
+            known = new_ends.setdefault((tag, old_end), new_end)
+            if known != new_end:
+                raise _conflict(tag, old_end, known, new_end, surface)
+            rule = (tag, old_end, new_end)
+            counts[rule] = counts.get(rule, 0) + 1
+    # Each distinct rule goes into its trie once.
+    ruleset = LemmaRuleSet()
+    for (tag, old_end, new_end), n in counts.items():
+        ruleset._node(tag, old_end).new_end = new_end
+        ruleset.counts[LemmaRule(tag, old_end, new_end)] = n
     return ruleset
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .corpus import Corpus, Sentence, text_lines
+from .corpus import Corpus, Sentence, _has_space, text_lines
 from .errors import DataError, FormatError
 
 
@@ -62,6 +62,7 @@ class Lexicon:
 
 def load_lexicon(text: str, path=None) -> Lexicon:
     entries: dict[str, LexiconEntry] = {}
+    known_tags: set[str] = set()  # tags already checked for whitespace
     for lineno, line in enumerate(text_lines(text), 1):
         if not line or line.isspace():
             continue
@@ -75,7 +76,13 @@ def load_lexicon(text: str, path=None) -> Lexicon:
         lemma = fields[2] if len(fields) == 3 and fields[2] else None
         entry = entries.get(surface)
         if entry is None:
+            if _has_space(surface):
+                raise FormatError(f"whitespace in surface {surface!r}", lineno, path)
             entry = entries[surface] = LexiconEntry(surface)
+        if tag not in known_tags:
+            if _has_space(tag):
+                raise FormatError(f"whitespace in tag {tag!r}", lineno, path)
+            known_tags.add(tag)
         readings = entry.readings
         if tag in readings:
             old = readings[tag]

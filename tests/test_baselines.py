@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -11,6 +12,8 @@ from morphtag.baselines import (UNTAGGABLE, DefaultTag, FailUnknown,
                                 tag_mft, tag_mft_lexicon)
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import DataError, FormatError
+from morphtag.lexicon import Lexicon
+from morphtag.synthetic import SyntheticConfig, generate_synthetic, split_corpus
 
 
 def sent(*surfaces):
@@ -84,6 +87,16 @@ class TestUnknownStrategies:
                       table, g)
         assert out == ["Ncfsi", "Ncnsi", "Ncfsi", "Ncmsf", "Ncmsi"]
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("a\tX Y\nDEFAULT\tZ\n", 1, "whitespace in tag 'X Y'"),
+        ("a\tX\nDEFAULT\tZ\u2028\n", 2, "whitespace in tag 'Z\\u2028'"),
+        ("a\tX\n b\tY\nDEFAULT\tZ\n", 2, "whitespace in suffix ' b'"),
+    ])
+    def test_guesser_whitespace_inside_field_rejected(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            load_guesser(text, "g.tsv")
+        assert str(exc.value) == f"g.tsv:{line}: {message}"
+
     def test_guesser_requires_default(self):
         with pytest.raises(FormatError):
             load_guesser("а\tN\n")
@@ -144,3 +157,73 @@ class TestOracle:
                 assert tag == "A"
             else:
                 assert seen[tag] == max(seen.values())
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 31))
+    def test_lexicon_backoff_matches_bruteforce(self, seed):
+        """Every token of tag_mft_lexicon against a recount of the whole
+        back-off: a unique surface MFT, else a unique class MFT, else a tag
+        of the class, and for an out-of-lexicon token a training tag."""
+        rng = random.Random(seed)
+        surfaces = ["w%d" % k for k in range(8)]
+        tags = ["A", "B", "C", "D"]
+        lex = make_lexicon({s: rng.sample(tags, rng.randint(1, 3))
+                            for s in surfaces if rng.random() < 0.75})
+        tokens = [(rng.choice(surfaces), rng.choice(tags))
+                  for _ in range(rng.randint(1, 30))]
+        table = build_mft(make_corpus(tokens), lex)
+        test = sent(*(rng.choice(surfaces + ["oov"]) for _ in range(12)))
+        got = tag_mft_lexicon(test, table, lex, seed=rng.randint(0, 99))
+
+        def unique_top(counts):
+            top = [t for t in counts if counts[t] == max(counts.values())]
+            return top[0] if len(top) == 1 else None
+
+        def klass(surface):
+            return frozenset(lex.tags(surface) or ())
+        for surface, tag in zip(test.surfaces(), got):
+            seen = Counter(t for s, t in tokens if s == surface)
+            if seen and unique_top(seen) is not None:
+                assert tag == unique_top(seen)
+            elif surface not in lex:
+                assert tag in {t for _, t in tokens}
+            else:
+                in_class = Counter(t for s, t in tokens
+                                   if s in lex and klass(s) == klass(surface))
+                if in_class and unique_top(in_class) is not None:
+                    assert tag == unique_top(in_class)
+                else:
+                    assert tag in klass(surface)
+
+
+class TestPinned:
+    """sha256 of the four strategies' predictions on a synthetic corpus, so
+    a change that keeps every tag admissible but picks a different one among
+    tied tags still shows.  The test half meets surfaces unseen in training,
+    surfaces and classes whose counts tie, and tokens outside the lexicon."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "96f1602bad418d422dbf479a0fd7bb6ded5fcec620ed69ae2c30733a69a9a3ba"),
+        (11, "e95fd6fa54907a43308707179d5bb330666706bfcad03e2f2325387703f0a014"),
+    ])
+    def test_predictions_pinned(self, seed, digest):
+        cfg = SyntheticConfig(tag_count=12, vocab_size=300, sentence_count=150,
+                              ambiguity_rate=0.5)
+        corpus, full = generate_synthetic(cfg, seed)
+        train, test = split_corpus(corpus, (0.5, 0.5))
+        # every fifth surface leaves the lexicon, so some tokens are outside it
+        lex = Lexicon({s: e for k, (s, e) in enumerate(sorted(full.items())) if k % 5})
+        table = build_mft(train, lex)
+        assert any(sorted(c.values())[-2:] == [max(c.values())] * 2
+                   for c in table.surface_counts.values())
+        assert any(sorted(c.values())[-2:] == [max(c.values())] * 2
+                   for c in table.class_counts.values())
+        surfaces = {tok.surface for tok in test.tokens()}
+        assert surfaces - table.surface_counts.keys()
+        assert surfaces - lex.entries.keys()
+        guesser = SuffixGuesser((("0", "A000"), ("5", "B001"), ("7", "C002")), "D003")
+        preds = [(tag_mft(s, table, FailUnknown(), seed),
+                  tag_mft(s, table, DefaultTag("E004"), seed),
+                  tag_mft(s, table, guesser, seed),
+                  tag_mft_lexicon(s, table, lex, seed)) for s in test]
+        assert hashlib.sha256(repr(preds).encode()).hexdigest() == digest

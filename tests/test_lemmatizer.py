@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +35,12 @@ class TestGeneration:
         # both forms map -ох to different endings under the same tag
         lex = make_lexicon({"плетох": {"V1": "плетя"},
                             "четох": {"V1": "чета"}})
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as exc:
             generate_rules(lex)
+        # readings go in sorted (surface, tag) order: плетох sets the rule,
+        # четох is the first reading that contradicts it
+        assert str(exc.value) == ("conflicting rules for (V1, -ох): "
+                                  "-> 'я' vs -> 'а' (from четох)")
 
     def test_lemmaless_reading_rejected(self):
         with pytest.raises(DataError):
@@ -83,6 +89,22 @@ class TestApplication:
         for surface, entry in lex.items():
             for tag, lemma in entry.readings.items():
                 assert lemmatize(surface, tag, rules) == lemma
+
+
+class TestPinned:
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "04443708246f4b5b2caee19de04d475c87225fa4c181741d4fb5135b02b55d33"),
+        (11, "e78dccc4be6e42174147c95a6229eaf6f210ef1bf8e727fb4a9616bdb3d1172b"),
+    ])
+    def test_rules_and_lemmas_pinned(self, seed, digest):
+        """sha256 of the compiled rules with their counts, then of the
+        rule-only lemma of every reading of a generated lemma lexicon."""
+        lex = generate_lemma_lexicon(12, 6, 8, seed)
+        rules = generate_rules(lex)
+        lemmas = [lemmatize(surface, tag, rules)
+                  for surface, entry in sorted(lex.items()) for tag in sorted(entry.readings)]
+        text = dump_rules(rules) + "\n".join(lemmas)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSerialization:

@@ -35,6 +35,23 @@ class TestLoad:
     def test_blank_lines_skipped(self):
         assert len(load_lexicon("\na\tX\n\n")) == 1
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("a b\tX\n", 1, "whitespace in surface 'a b'"),
+        ("a\tX\na\tX\rb\n", 2, "whitespace in tag 'X\\rb'"),
+        ("a\tX\nb\tX\nc\tX\u00a0\n", 3, "whitespace in tag 'X\\xa0'"),
+        (" a\tX\n", 1, "whitespace in surface ' a'"),
+    ])
+    def test_whitespace_inside_field_rejected(self, text, line, message):
+        """Whitespace by the rule of the corpus reader, inside a surface or
+        a tag, is a format error naming the file and the line."""
+        with pytest.raises(FormatError) as exc:
+            load_lexicon(text, "lex.tsv")
+        assert str(exc.value) == f"lex.tsv:{line}: {message}"
+
+    def test_whitespace_in_lemma_kept(self):
+        lex = load_lexicon("a\tX\tl m\n")
+        assert lex.lemma("a", "X") == "l m"
+
     def test_roundtrip(self):
         text = "a\tX\na\tY\tla\nb\tZ\n"
         assert dump_lexicon(load_lexicon(text)) == text
