@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Corpus, Sentence, _has_space, text_lines
 from .errors import DataError, FormatError
@@ -29,6 +29,9 @@ class MftTable:
     surface_best: dict[str, tuple[str, ...]]
     class_best: dict[str, tuple[str, ...]]
     fallback: tuple[str, ...]
+    # Seeded tie-break picks, keyed (seed, surface, options): each is drawn
+    # once per table.
+    picks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_mft(corpus: Corpus, lexicon: Lexicon | None = None) -> MftTable:
@@ -65,9 +68,13 @@ def build_mft(corpus: Corpus, lexicon: Lexicon | None = None) -> MftTable:
                     tuple(sorted({tag for _, tag in pairs})) or (UNTAGGABLE,))
 
 
-def _seeded_choice(options, seed: int, surface: str) -> str:
-    rng = random.Random(f"mft:{seed}:{surface}")
-    return rng.choice(sorted(options))
+def _seeded_choice(table: MftTable, options, seed: int, surface: str) -> str:
+    key = (seed, surface, options)
+    pick = table.picks.get(key)
+    if pick is None:
+        rng = random.Random(f"mft:{seed}:{surface}")
+        pick = table.picks[key] = rng.choice(sorted(options))
+    return pick
 
 
 def _most_frequent(counts: Counter) -> tuple[str, ...]:
@@ -141,7 +148,7 @@ def tag_mft(sentence: Sentence, table: MftTable, strategy, seed: int = 0) -> lis
         best = surface_best.get(tok.surface)
         if best is not None:
             out.append(best[0] if len(best) == 1
-                       else _seeded_choice(best, seed, tok.surface))
+                       else _seeded_choice(table, best, seed, tok.surface))
         elif isinstance(strategy, FailUnknown):
             out.append(UNTAGGABLE)
         elif isinstance(strategy, DefaultTag):
@@ -171,11 +178,11 @@ def tag_mft_lexicon(sentence: Sentence, table: MftTable, lexicon: Lexicon,
             continue
         tags = lexicon.tags(tok.surface)
         if tags is None:
-            out.append(_seeded_choice(table.fallback, seed, tok.surface))
+            out.append(_seeded_choice(table, table.fallback, seed, tok.surface))
             continue
         best = table.class_best.get(";".join(sorted(tags)))
         if best is not None and len(best) == 1:
             out.append(best[0])
             continue
-        out.append(_seeded_choice(tags, seed, tok.surface))
+        out.append(_seeded_choice(table, tags, seed, tok.surface))
     return out

@@ -7,6 +7,7 @@ blank and whitespace-only lines are skipped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -110,14 +111,14 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def lexicon_sets(lexicon: Lexicon, sentence: Sentence) -> list[set[str]]:
-    """Each token's lexicon tags as a new set; an out-of-lexicon token gets
-    a single tag: its gold tag, or its surface when it has none."""
-    sets = []
-    for tok in sentence.tokens:
-        tags = lexicon.tags(tok.surface)
-        sets.append(set(tags) if tags else {tok.gold_tag or tok.surface})
-    return sets
+def lexicon_sets(lexicon: Lexicon, sentence: Sentence) -> list[frozenset[str]]:
+    """Each token's lexicon tags; an out-of-lexicon token gets a single tag:
+    its gold tag, or its surface when it has none.  The list is new, but a
+    known token's set is the lexicon entry's own, shared and never to be
+    mutated."""
+    tags = lexicon.tags
+    return [tags(tok.surface) or frozenset((tok.gold_tag or tok.surface,))
+            for tok in sentence.tokens]
 
 
 def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
@@ -128,28 +129,35 @@ def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
     Candidate sets come from the lexicon, optionally reduced by a rule
     cascade; out-of-lexicon tokens count as having a single tag.  A token is
     punctuation when its gold tag (or, lacking one, every lexicon tag) is in
-    the punctuation class.
+    the punctuation class.  Without rules a token's count depends only on
+    its surface and gold tag, so each distinct pair is counted once, from the
+    lexicon's own set.  No set is copied or mutated.
     """
     from .rules import apply_cascade  # local import to avoid a cycle
 
+    if rules is None:
+        pairs = Counter((tok.surface, tok.gold_tag) for tok in corpus.tokens())
+        rows = ((gold, lexicon.tags(surface) or (gold or surface,), k)
+                for (surface, gold), k in pairs.items())
+    else:
+        rows = ((tok.gold_tag, cands, 1) for sent in corpus
+                for tok, cands in zip(sent.tokens,
+                                      apply_cascade(rules, sent, lexicon_sets(lexicon, sent))))
     n = 0
     ambiguous = 0
     total_tags = 0
-    for sent in corpus:
-        sets = lexicon_sets(lexicon, sent)
-        if rules is not None:
-            sets = apply_cascade(rules, sent, sets)
-        for tok, cands in zip(sent.tokens, sets):
-            if punct_class is not None:
-                if tok.gold_tag is not None:
-                    if tok.gold_tag.startswith(punct_class):
-                        continue
-                elif all(t.startswith(punct_class) for t in cands):
+    for gold, cands, k in rows:
+        if punct_class is not None:
+            if gold is not None:
+                if gold.startswith(punct_class):
                     continue
-            n += 1
-            total_tags += len(cands)
-            if len(cands) > 1:
-                ambiguous += 1
+            elif all(t.startswith(punct_class) for t in cands):
+                continue
+        size = len(cands)
+        n += k
+        total_tags += k * size
+        if size > 1:
+            ambiguous += k
     if n == 0:
         return 0.0, 1.0
     return ambiguous / n, total_tags / n

@@ -10,9 +10,16 @@ The conditions that never read the candidate sets (SURFACE-IN, SENT-INITIAL,
 SENT-FINAL) pick a rule's positions before its sweep, through an index from
 each surface of the sentence to its positions; the sweep visits only those,
 still left to right, and tests the other conditions there.  A rule without
-such a condition visits every position.  Skipped positions are exactly those
-where the rule cannot match, so the outputs and the order in which rules fire
-are those of testing every rule at every position.
+such a condition visits every position.  A cascade also indexes its rules by
+the values of each rule's first SURFACE-IN condition, so a sentence visits,
+in cascade order, only the rules one of its surfaces names and the rules
+without a SURFACE-IN condition.  Skipped rules and positions are exactly
+those where a rule cannot match, so the outputs and the order in which rules
+fire are those of testing every rule at every position.
+
+Rules never write into a candidate set: a rule that fires replaces the set
+with a new one.  So `apply_cascade` returns the caller's set objects where no
+rule changed them, and never mutates its input.
 
 DSL, one rule per block:
 
@@ -34,7 +41,7 @@ candidate tag starts with the numeral class prefix ("M").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus, Sentence, text_lines
 from .errors import DataError, FormatError
@@ -91,6 +98,20 @@ class Rule:
 @dataclass(frozen=True)
 class RuleCascade:
     rules: tuple[Rule, ...] = ()
+
+    def __post_init__(self):
+        # The index is not a field, so equality and hashing read `rules` alone.
+        by_surface: dict[str, list[int]] = {}
+        always = []
+        for k, rule in enumerate(self.rules):
+            keyed = next((c for c in rule.conditions if c.kind == "SURFACE-IN"), None)
+            if keyed is None:
+                always.append(k)
+            else:
+                for value in dict.fromkeys(keyed.values):
+                    by_surface.setdefault(value, []).append(k)
+        object.__setattr__(self, "_by_surface", by_surface)
+        object.__setattr__(self, "_always", tuple(always))
 
     def __len__(self):
         return len(self.rules)
@@ -204,11 +225,22 @@ def _sweep(cascade: RuleCascade, sentence: Sentence, sets: list[set[str]]):
     """Yield (rule, position) wherever the rule matches: rules in cascade
     order, positions ascending.  Set-dependent conditions are tested against
     `sets` as the caller leaves them after the previous yield."""
-    n = len(sentence.tokens)
+    tokens = sentence.tokens
+    by_surface = cascade._by_surface
+    visit = set(cascade._always)
+    for tok in tokens:
+        hit = by_surface.get(tok.surface)
+        if hit is not None:
+            visit.update(hit)
+    if not visit:
+        return
+    n = len(tokens)
     where: dict[str, list[int]] = {}
-    for i, tok in enumerate(sentence.tokens):
+    for i, tok in enumerate(tokens):
         where.setdefault(tok.surface, []).append(i)
-    for rule in cascade:
+    rules = cascade.rules
+    for k in sorted(visit):
+        rule = rules[k]
         picked = None  # positions where every static condition holds; None: all
         dynamic = []
         for c in rule.conditions:
@@ -237,9 +269,11 @@ def apply_cascade(cascade: RuleCascade, sentence: Sentence,
                   candidates: list[set[str]]) -> list[set[str]]:
     """Filter per-token candidate sets through the cascade.
 
-    Output sets are subsets of the inputs and never empty.
+    Returns a new list.  Output sets are subsets of the inputs and never
+    empty; where no rule changed a set, the output holds the input object
+    itself.  No input set is mutated, and no output set should be.
     """
-    sets = [set(c) for c in candidates]
+    sets = list(candidates)
     for i, cands in enumerate(sets):
         if not cands:
             raise ValueError(f"empty candidate set at position {i}")

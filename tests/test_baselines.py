@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_lexicon
+from morphtag import baselines
 from morphtag.baselines import (UNTAGGABLE, DefaultTag, FailUnknown,
                                 SuffixGuesser, build_mft, load_guesser,
                                 tag_mft, tag_mft_lexicon)
@@ -56,6 +57,31 @@ class TestKnownWords:
         picks = {tag_mft(sent("а"), table, FailUnknown(), seed=s)[0]
                  for s in range(40)}
         assert picks == {"X", "Y"}
+
+    def test_tie_break_drawn_once_per_table(self, monkeypatch):
+        draws = []
+        real = baselines.random.Random
+
+        def counting(key):
+            draws.append(key)
+            return real(key)
+        monkeypatch.setattr(baselines.random, "Random", counting)
+        lex = make_lexicon({"а": ["X", "Y", "Z"], "б": ["X", "Y"]})
+        corpus = make_corpus(["а/X", "а/Y", "б/X", "б/Y"])
+        s = sent("а", "б", "нов", "а", "нов")
+        table = build_mft(corpus, lex)
+        first = [tag_mft(s, table, FailUnknown(), seed=5), tag_mft_lexicon(s, table, lex, seed=5)]
+        # "а" and "б" tie in both taggers, but "а"'s options differ between
+        # them (its best tags, then its class); "нов" takes the fallback
+        assert len(draws) == 5
+        again = [tag_mft(s, table, FailUnknown(), seed=5), tag_mft_lexicon(s, table, lex, seed=5)]
+        tag_mft(s, table, DefaultTag("Z"), seed=5)
+        assert len(draws) == 5 and again == first
+        tag_mft(s, table, FailUnknown(), seed=6)
+        assert len(draws) == 7
+        fresh = build_mft(corpus, lex)
+        assert [tag_mft_lexicon(s, fresh, lex, seed=5), tag_mft(s, fresh, FailUnknown(), seed=5)] \
+            == first[::-1]
 
     def test_context_free(self):
         table = build_mft(make_corpus(["а/X", "б/Y"]))

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import DataError, FormatError
-from morphtag.rules import (Condition, Rule, RuleCascade, apply_cascade,
+from morphtag.lexicon import ambiguity_stats
+from morphtag.rules import (Condition, Rule, RuleCascade, _sweep, apply_cascade,
                             audit_precision, format_rules, parse_rules)
+from morphtag.synthetic import SyntheticConfig, derive_safe_rules, generate_synthetic
 
 NUMERAL_RULE = """
 RULE ncmt-after-numeral
@@ -283,3 +286,180 @@ class TestSweepMatchesReference:
         corpus = make_corpus(*[[(w, tags[0]) for w, tags in s] for s in sentences])
         lex = make_lexicon(mapping)
         assert audit_precision(cascade, corpus, lex) == reference_audit(cascade, corpus, lex)
+
+
+AMBIGUITY_WORDS = SWEEP_WORDS + (",", "!")
+AMBIGUITY_TAGS = SWEEP_TAGS + ("U,", "U!")
+
+
+def reference_ambiguity(lexicon, corpus, rules, punct_class):
+    """The per-token recount: a copied set per token, then the cascade."""
+    n = ambiguous = total = 0
+    for s in corpus:
+        sets = [set(lexicon.tags(t.surface) or {t.gold_tag or t.surface}) for t in s.tokens]
+        if rules is not None:
+            sets = reference_cascade(rules, s, sets)
+        for tok, cands in zip(s.tokens, sets):
+            if punct_class is not None:
+                if tok.gold_tag is not None:
+                    if tok.gold_tag.startswith(punct_class):
+                        continue
+                elif all(t.startswith(punct_class) for t in cands):
+                    continue
+            n += 1
+            total += len(cands)
+            ambiguous += len(cands) > 1
+    return (0.0, 1.0) if n == 0 else (ambiguous / n, total / n)
+
+
+ambiguity_corpora = st.lists(
+    st.lists(st.tuples(st.sampled_from(AMBIGUITY_WORDS),
+                       st.none() | st.sampled_from(AMBIGUITY_TAGS)),
+             min_size=1, max_size=8),
+    max_size=4)
+ambiguity_lexicons = st.dictionaries(
+    st.sampled_from(AMBIGUITY_WORDS),
+    st.lists(st.sampled_from(AMBIGUITY_TAGS), min_size=1, max_size=4, unique=True))
+
+
+class TestAmbiguityStatsMatchesReference:
+    """ambiguity_stats, with and without a cascade, against a per-token
+    recount, to the last bit.  "!" is always in the lexicon with punctuation
+    tags only; other words may be out of it, and gold tags may be missing."""
+
+    @settings(max_examples=200)
+    @given(st.none() | sweep_cascades(), ambiguity_corpora, ambiguity_lexicons,
+           st.sampled_from(("U", None)))
+    def test_ambiguity_stats(self, cascade, sentences, mapping, punct_class):
+        corpus = make_corpus(*sentences)
+        lex = make_lexicon({**mapping, "!": ["U!"]})
+        assert (ambiguity_stats(lex, corpus, cascade, punct_class)
+                == reference_ambiguity(lex, corpus, cascade, punct_class))
+
+    def test_all_punctuation_token_without_gold(self):
+        lex = make_lexicon({"!": ["U!"], "a": ["A1", "A2"]})
+        corpus = make_corpus(["a", "!", "b", "a/A1"])
+        for punct_class in ("U", None):
+            assert (ambiguity_stats(lex, corpus, None, punct_class)
+                    == reference_ambiguity(lex, corpus, None, punct_class))
+        assert ambiguity_stats(lex, corpus, None, "U") == (2 / 3, 5 / 3)
+        assert ambiguity_stats(lex, corpus, None, None) == (2 / 4, 6 / 4)
+
+
+def _lexicon_state(lex):
+    return {s: (e.surface, dict(e.readings), e.tags) for s, e in lex.items()}
+
+
+class TestNoMutation:
+    """The cascade and the audits share the caller's and the lexicon's sets
+    instead of copying them, so none of them may write into one."""
+
+    @settings(max_examples=100)
+    @given(sweep_cascades(), sweep_sentences, ambiguity_lexicons)
+    def test_inputs_unchanged(self, cascade, tokens, mapping):
+        s = sent(*(w for w, _ in tokens))
+        cands = [set(tags) for _, tags in tokens]
+        before = copy.deepcopy(cands)
+        out = apply_cascade(cascade, s, cands)
+        assert cands == before
+        assert all(o is c or o <= c for o, c in zip(out, cands))
+        corpus = make_corpus([(w, tags[0]) for w, tags in tokens])
+        lex = make_lexicon(mapping)
+        state = copy.deepcopy(_lexicon_state(lex))
+        audit_precision(cascade, corpus, lex)
+        ambiguity_stats(lex, corpus)
+        ambiguity_stats(lex, corpus, cascade)
+        assert _lexicon_state(lex) == state
+        assert corpus == make_corpus([(w, tags[0]) for w, tags in tokens])
+
+    def test_repeated_set_object(self):
+        shared = {"A1", "B1"}
+        cands = [shared] * 3
+        cascade = parse_rules("RULE r\nIF 0 SURFACE-IN a\nTHEN REMOVE A\nEND\n"
+                              "RULE q\nIF 0 SENT-FINAL\nTHEN RETAIN A\nEND\n")
+        out = apply_cascade(cascade, sent("a", "b", "a"), cands)
+        assert out == [{"B1"}, {"A1", "B1"}, {"B1"}]
+        assert shared == {"A1", "B1"}
+        assert all(c is shared for c in cands)
+        assert out[1] is shared and out is not cands
+
+    def test_lexicon_sets_are_shared(self):
+        lex = make_lexicon({"a": ["A1", "B1"]})
+        corpus = make_corpus(["a/A1", "a/B1", "a/A1"])
+        cascade = parse_rules("RULE r\nIF 0 SURFACE-IN a\nIF 1 SENT-FINAL\n"
+                              "THEN REMOVE B\nEND\n")
+        state = copy.deepcopy(_lexicon_state(lex))
+        assert audit_precision(cascade, corpus, lex) == {"r": (1, 1)}
+        assert ambiguity_stats(lex, corpus, cascade) == (2 / 3, 5 / 3)
+        assert _lexicon_state(lex) == state
+
+
+class TestIndexedSweep:
+    """A cascade visits only the rules a sentence's surfaces name and the
+    rules without a SURFACE-IN condition, in cascade order."""
+
+    def test_two_surface_conditions(self):
+        cascade = parse_rules("RULE r\nIF 0 SURFACE-IN a\nIF 1 SURFACE-IN b\n"
+                              "THEN RETAIN A\nEND\n")
+        cands = [{"A1", "B1"}] * 4
+        s = sent("a", "c", "a", "b")
+        assert [(r.rule_id, i) for r, i in _sweep(cascade, s, cands)] == [("r", 2)]
+        assert apply_cascade(cascade, s, cands) == [{"A1", "B1"}] * 2 + [{"A1"}, {"A1", "B1"}]
+        # the value the rule is not indexed under, alone, matches nowhere
+        assert list(_sweep(cascade, sent("b", "b"), cands[:2])) == []
+        assert list(_sweep(cascade, sent("c", "a"), cands[:2])) == []
+
+    def test_rules_under_one_value_keep_cascade_order(self):
+        text = ("RULE drop-a\nIF 0 SURFACE-IN a\nTHEN REMOVE A\nEND\n"
+                "RULE keep-a\nIF 0 SURFACE-IN x,a\nTHEN RETAIN A\nEND\n")
+        cascade = parse_rules(text)
+        cands = [{"A1", "B1"}, {"A1", "B1"}]
+        s = sent("b", "a")
+        assert ([(r.rule_id, i) for r, i in _sweep(cascade, s, cands)]
+                == [("drop-a", 1), ("keep-a", 1)])
+        assert apply_cascade(cascade, s, cands) == [{"A1", "B1"}, {"B1"}]
+        swapped = RuleCascade(cascade.rules[::-1])
+        assert apply_cascade(swapped, s, cands) == [{"A1", "B1"}, {"A1"}]
+
+    @pytest.mark.parametrize("always, cands, expected", [
+        # CLASS-IS sees the class drop-a left
+        ("IF 0 CLASS-IS B1;Mc\nTHEN RETAIN B", [{"A1", "B1", "Mc"}, {"Ncf", "Ncm"}],
+         [{"B1"}, {"Ncf", "Ncm"}]),
+        # NUMERAL holds at 0 once drop-a has left numeral tags only
+        ("IF -1 NUMERAL\nIF 0 HAS-PREFIX N\nTHEN RETAIN Ncm", [{"A1", "Mc"}, {"Ncf", "Ncm"}],
+         [{"Mc"}, {"Ncm"}]),
+        # SENT-INITIAL would empty the set drop-a left, so does not fire
+        ("IF 0 SENT-INITIAL\nTHEN REMOVE M", [{"A1", "Mc"}, {"Ncf", "Ncm"}],
+         [{"Mc"}, {"Ncf", "Ncm"}]),
+    ])
+    def test_always_visited_rule_between_indexed_rules(self, always, cands, expected):
+        cascade = parse_rules("RULE drop-a\nIF 0 SURFACE-IN a\nTHEN REMOVE A\nEND\n"
+                              f"RULE always\n{always}\nEND\n"
+                              "RULE keep-a\nIF 0 SURFACE-IN a\nTHEN RETAIN A\nEND\n")
+        s = sent("a", "b")
+        out = apply_cascade(cascade, s, cands)
+        assert out == expected == reference_cascade(cascade, s, cands)
+        assert [r.rule_id for r, _ in _sweep(cascade, s, [{"Mc"}, {"Ncf", "Ncm"}])
+                if r.rule_id != "always"] == ["drop-a", "keep-a"]
+
+    def test_direct_construction_is_indexed_alike(self):
+        corpus, lexicon = generate_synthetic(
+            SyntheticConfig(tag_count=8, vocab_size=60, sentence_count=40), 3)
+        derived = derive_safe_rules(corpus, lexicon)
+        assert len(derived) > 0
+        parsed = parse_rules(format_rules(derived))
+        for direct in (derived, RuleCascade(parsed.rules), RuleCascade(list(parsed.rules))):
+            assert direct._by_surface == parsed._by_surface
+            assert direct._always == parsed._always
+        for s in corpus:
+            sets = [{"x"}] * len(s.tokens)
+            assert list(_sweep(derived, s, sets)) == list(_sweep(parsed, s, sets))
+
+    def test_equality_ignores_the_index(self):
+        rules = parse_rules(YA_RULES + NUMERAL_RULE).rules
+        assert RuleCascade(rules) == RuleCascade(rules)
+        assert hash(RuleCascade(rules)) == hash(RuleCascade(rules))
+        assert RuleCascade(rules) != RuleCascade(rules[:1])
+        assert repr(RuleCascade(rules[:1])) == f"RuleCascade(rules={rules[:1]!r})"
+        assert RuleCascade(rules)._by_surface == {"я": [0, 1]}
+        assert RuleCascade(rules)._always == (2,)
