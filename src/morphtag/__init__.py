@@ -10,7 +10,7 @@ from .errors import ConfigError, DataError, FormatError, MorphtagError, SchemaEr
 from .evaluation import (EvalReport, audit_lexicon_exhaustiveness, chi_squared,
                          confusion_pairs, evaluate)
 from .features import FeatureConfig
-from .lexicon import Lexicon, LexiconEntry, ambiguity_stats, load_lexicon
+from .lexicon import Lexicon, ambiguity_stats, load_lexicon
 from .lemmatizer import (LemmaRule, LemmaRuleSet, generate_rules, lemma_impact,
                          lemmatize)
 from .rules import RuleCascade, apply_cascade, audit_precision, parse_rules
@@ -27,8 +27,7 @@ __all__ = [
     "write_vertical", "ConfigError", "DataError", "FormatError",
     "MorphtagError", "SchemaError", "EvalReport",
     "audit_lexicon_exhaustiveness", "chi_squared", "confusion_pairs",
-    "evaluate", "FeatureConfig", "Lexicon",
-    "LexiconEntry", "ambiguity_stats", "load_lexicon",
+    "evaluate", "FeatureConfig", "Lexicon", "ambiguity_stats", "load_lexicon",
     "LemmaRule", "LemmaRuleSet", "generate_rules", "lemma_impact",
     "lemmatize", "RuleCascade", "apply_cascade", "audit_precision",
     "parse_rules", "SyntheticConfig", "generate_lemma_lexicon",

@@ -132,15 +132,10 @@ def _cmd_lemmatize(args):
     if args.dump_rules:
         write_text(args.dump_rules, dump_rules(ruleset))
     if args.check:
-        total = 0
-        wrong = 0
-        for surface, entry in lexicon.items():
-            for tag, lemma in entry.readings.items():
-                total += 1
-                if lemmatize(surface, tag, ruleset) != lemma:
-                    wrong += 1
-        print(f"round-trip: {total - wrong}/{total} correct")
-        if wrong:
+        right = [lemmatize(surface, tag, ruleset) == lemma
+                 for surface, readings in lexicon.items() for tag, lemma in readings.items()]
+        print(f"round-trip: {sum(right)}/{len(right)} correct")
+        if not all(right):
             return EXIT_INTERNAL
     if args.input:
         if not args.output:

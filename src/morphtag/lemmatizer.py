@@ -97,7 +97,7 @@ def generate_rules(lexicon: Lexicon) -> LemmaRuleSet:
     counts: dict[tuple[str, str, str], int] = {}  # (tag, old_end, new_end) -> readings
     new_ends: dict[tuple[str, str], str] = {}     # (tag, old_end) -> its new_end
     for surface in sorted(lexicon.entries):
-        readings = lexicon.entries[surface].readings
+        readings = lexicon.entries[surface]
         for tag in sorted(readings):
             lemma = readings[tag]
             if lemma is None:

@@ -8,30 +8,22 @@ blank and whitespace-only lines are skipped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import chain
 
 from .corpus import Corpus, Sentence, _has_space, text_lines
 from .errors import DataError, FormatError
 
 
-@dataclass
-class LexiconEntry:
-    surface: str
-    readings: dict[str, str | None] = field(default_factory=dict)  # tag -> lemma
-
-    @cached_property
-    def tags(self) -> frozenset[str]:
-        """Built on the first lookup and held.  The loaders add readings to
-        entries that already exist, so the set waits until they finish."""
-        return frozenset(self.readings)
-
-
 class Lexicon:
-    """Immutable-by-convention surface -> entry map; lookups are pure."""
+    """Surface -> readings map ({tag: lemma or None}); lookups are pure.
 
-    def __init__(self, entries: dict[str, LexiconEntry] | None = None):
-        self.entries: dict[str, LexiconEntry] = entries or {}
+    A readings map holds only strings and None, so the collector does not
+    track it.  A surface's tag set is built on its first lookup and held, so
+    every later lookup returns the same frozenset, never to be mutated."""
+
+    def __init__(self, entries: dict[str, dict[str, str | None]] | None = None):
+        self.entries: dict[str, dict[str, str | None]] = entries or {}
+        self._sets: dict[str, frozenset[str]] = {}
 
     def __len__(self):
         return len(self.entries)
@@ -40,29 +32,29 @@ class Lexicon:
         return surface in self.entries
 
     def tags(self, surface: str) -> frozenset[str] | None:
-        entry = self.entries.get(surface)
-        return entry.tags if entry is not None else None
+        tags = self._sets.get(surface)
+        if tags is None:
+            readings = self.entries.get(surface)
+            if readings is not None:
+                tags = self._sets[surface] = frozenset(readings)
+        return tags
 
     lookup = tags  # the older name of the same lookup
 
     def lemma(self, surface: str, tag: str) -> str | None:
-        entry = self.entries.get(surface)
-        if entry is None:
-            return None
-        return entry.readings.get(tag)
+        readings = self.entries.get(surface)
+        return None if readings is None else readings.get(tag)
 
     def all_tags(self) -> set[str]:
-        out: set[str] = set()
-        for entry in self.entries.values():
-            out.update(entry.readings)
-        return out
+        return set().union(*self.entries.values())
 
     def items(self):
+        """(surface, readings) pairs."""
         return self.entries.items()
 
 
 def load_lexicon(text: str, path=None) -> Lexicon:
-    entries: dict[str, LexiconEntry] = {}
+    entries: dict[str, dict[str, str | None]] = {}
     known_tags: set[str] = set()  # tags already checked for whitespace
     for lineno, line in enumerate(text_lines(text), 1):
         if not line or line.isspace():
@@ -75,16 +67,15 @@ def load_lexicon(text: str, path=None) -> Lexicon:
         if not surface or not tag:
             raise FormatError("empty surface or tag", lineno, path)
         lemma = fields[2] if len(fields) == 3 and fields[2] else None
-        entry = entries.get(surface)
-        if entry is None:
+        readings = entries.get(surface)
+        if readings is None:
             if _has_space(surface):
                 raise FormatError(f"whitespace in surface {surface!r}", lineno, path)
-            entry = entries[surface] = LexiconEntry(surface)
+            readings = entries[surface] = {}
         if tag not in known_tags:
             if _has_space(tag):
                 raise FormatError(f"whitespace in tag {tag!r}", lineno, path)
             known_tags.add(tag)
-        readings = entry.readings
         if tag in readings:
             old = readings[tag]
             if lemma is not None and old is not None and lemma != old:
@@ -101,9 +92,9 @@ def load_lexicon(text: str, path=None) -> Lexicon:
 def dump_lexicon(lexicon: Lexicon) -> str:
     lines = []
     for surface in sorted(lexicon.entries):
-        entry = lexicon.entries[surface]
-        for tag in sorted(entry.readings):
-            lemma = entry.readings[tag]
+        readings = lexicon.entries[surface]
+        for tag in sorted(readings):
+            lemma = readings[tag]
             if lemma is None:
                 lines.append(f"{surface}\t{tag}")
             else:
@@ -114,7 +105,7 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 def lexicon_sets(lexicon: Lexicon, sentence: Sentence) -> list[frozenset[str]]:
     """Each token's lexicon tags; an out-of-lexicon token gets a single tag:
     its gold tag, or its surface when it has none.  The list is new, but a
-    known token's set is the lexicon entry's own, shared and never to be
+    known token's set is the lexicon's own, shared and never to be
     mutated."""
     tags = lexicon.tags
     return [tags(tok.surface) or frozenset((tok.gold_tag or tok.surface,))
@@ -129,20 +120,22 @@ def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
     Candidate sets come from the lexicon, optionally reduced by a rule
     cascade; out-of-lexicon tokens count as having a single tag.  A token is
     punctuation when its gold tag (or, lacking one, every lexicon tag) is in
-    the punctuation class.  Without rules a token's count depends only on
-    its surface and gold tag, so each distinct pair is counted once, from the
-    lexicon's own set.  No set is copied or mutated.
+    the punctuation class.  Without rules, or in a sentence that no rule can
+    visit, a token's count depends only on its surface and gold tag, so each
+    distinct pair is counted once, from the lexicon's own set.  No set is
+    copied or mutated.
     """
-    from .rules import apply_cascade  # local import to avoid a cycle
+    from .rules import _visits, apply_cascade  # local import to avoid a cycle
 
-    if rules is None:
-        pairs = Counter((tok.surface, tok.gold_tag) for tok in corpus.tokens())
-        rows = ((gold, lexicon.tags(surface) or (gold or surface,), k)
-                for (surface, gold), k in pairs.items())
-    else:
-        rows = ((tok.gold_tag, cands, 1) for sent in corpus
-                for tok, cands in zip(sent.tokens,
-                                      apply_cascade(rules, sent, lexicon_sets(lexicon, sent))))
+    plain, swept = [], []
+    for sent in corpus:
+        (swept if rules is not None and _visits(rules, sent) else plain).append(sent)
+    pairs = Counter((tok.surface, tok.gold_tag) for sent in plain for tok in sent.tokens)
+    rows = chain(((gold, lexicon.tags(surface) or (gold or surface,), k)
+                  for (surface, gold), k in pairs.items()),
+                 ((tok.gold_tag, cands, 1) for sent in swept
+                  for tok, cands in zip(sent.tokens,
+                                        apply_cascade(rules, sent, lexicon_sets(lexicon, sent)))))
     n = 0
     ambiguous = 0
     total_tags = 0

@@ -221,25 +221,34 @@ def format_rules(cascade: RuleCascade) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _sweep(cascade: RuleCascade, sentence: Sentence, sets: list[set[str]]):
-    """Yield (rule, position) wherever the rule matches: rules in cascade
-    order, positions ascending.  Set-dependent conditions are tested against
-    `sets` as the caller leaves them after the previous yield."""
-    tokens = sentence.tokens
+def _visits(cascade: RuleCascade, sentence: Sentence) -> list[int]:
+    """Indices, ascending, of the rules the sentence can match: those one of
+    its surfaces names and those without a SURFACE-IN condition."""
     by_surface = cascade._by_surface
     visit = set(cascade._always)
-    for tok in tokens:
+    for tok in sentence.tokens:
         hit = by_surface.get(tok.surface)
         if hit is not None:
             visit.update(hit)
+    return sorted(visit)
+
+
+def _sweep(cascade: RuleCascade, sentence: Sentence, sets: list[set[str]], visit=None):
+    """Yield (rule, position) wherever the rule matches: rules in cascade
+    order, positions ascending.  Set-dependent conditions are tested against
+    `sets` as the caller leaves them after the previous yield.  `visit` is
+    the sentence's `_visits`, when the caller has it."""
+    if visit is None:
+        visit = _visits(cascade, sentence)
     if not visit:
         return
+    tokens = sentence.tokens
     n = len(tokens)
     where: dict[str, list[int]] = {}
     for i, tok in enumerate(tokens):
         where.setdefault(tok.surface, []).append(i)
     rules = cascade.rules
-    for k in sorted(visit):
+    for k in visit:
         rule = rules[k]
         picked = None  # positions where every static condition holds; None: all
         dynamic = []
@@ -292,8 +301,11 @@ def audit_precision(cascade: RuleCascade, corpus: Corpus, lexicon) -> dict[str, 
     """
     report = {rule.rule_id: [0, 0] for rule in cascade}
     for sent in corpus:
+        visit = _visits(cascade, sent)
+        if not visit:
+            continue
         sets = lexicon_sets(lexicon, sent)
-        for rule, i in _sweep(cascade, sent, sets):
+        for rule, i in _sweep(cascade, sent, sets, visit):
             filtered = rule.filtered(sets[i])
             if filtered and filtered != sets[i]:
                 report[rule.rule_id][0] += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus, Sentence, Token
 from .errors import ConfigError
-from .lexicon import Lexicon, LexiconEntry
+from .lexicon import Lexicon
 from .rules import Condition, Rule, RuleCascade
 
 # Tag class letters cycle over A..T, keeping U free for punctuation.
@@ -99,7 +99,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> tuple[Corpus, Lexi
             prev = word
         sentences.append(Sentence(tuple(toks)))
 
-    entries = {w: LexiconEntry(w, {t: None for t in word_tags[w]}) for w in vocab}
+    entries = {w: dict.fromkeys(word_tags[w]) for w in vocab}
     return Corpus(tuple(sentences)), Lexicon(entries)
 
 
@@ -136,7 +136,7 @@ def generate_lemma_lexicon(paradigm_count: int, forms_per_paradigm: int,
     def suffix(min_len, max_len):
         return "".join(rng.choice(_SUFFIX_ALPHABET) for _ in range(rng.randint(min_len, max_len)))
 
-    entries: dict[str, LexiconEntry] = {}
+    entries: dict[str, dict[str, str]] = {}
     stems_seen: set[str] = set()
     for p in range(paradigm_count):
         letter = _CLASS_LETTERS[p % len(_CLASS_LETTERS)]
@@ -152,10 +152,10 @@ def generate_lemma_lexicon(paradigm_count: int, forms_per_paradigm: int,
             lemma = stem + lemma_suffix
             for tag, form_suffix in forms:
                 surface = stem + form_suffix
-                entry = entries.get(surface)
-                if entry is None:
-                    entry = entries[surface] = LexiconEntry(surface)
-                entry.readings[tag] = lemma
+                readings = entries.get(surface)
+                if readings is None:
+                    readings = entries[surface] = {}
+                readings[tag] = lemma
     return Lexicon(entries)
 
 

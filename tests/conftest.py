@@ -38,7 +38,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             verdict = "PASS" if outcomes[prefix] else "FAIL"
             terminalreporter.write_line(
                 f"{verdict} criterion {prefix[-2:]}: {CRITERIA[prefix]}")
-from morphtag.lexicon import Lexicon, LexiconEntry
+from morphtag.lexicon import Lexicon
 from morphtag.tagset import parse_schema
 
 SCHEMA_TEXT = """
@@ -78,10 +78,5 @@ def make_corpus(*sentences):
 
 def make_lexicon(mapping):
     """mapping: surface -> iterable of tags, or surface -> dict tag->lemma."""
-    entries = {}
-    for surface, tags in mapping.items():
-        if isinstance(tags, dict):
-            entries[surface] = LexiconEntry(surface, dict(tags))
-        else:
-            entries[surface] = LexiconEntry(surface, {t: None for t in tags})
-    return Lexicon(entries)
+    return Lexicon({surface: dict(tags) if isinstance(tags, dict) else dict.fromkeys(tags)
+                    for surface, tags in mapping.items()})

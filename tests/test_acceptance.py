@@ -88,8 +88,8 @@ def test_criterion_01_lemmatizer_roundtrip_at_scale():
                                      stems_per_paradigm=20, seed=1)
     rules = generate_rules(lexicon)
     triples = 0
-    for surface, entry in lexicon.items():
-        for tag, lemma in entry.readings.items():
+    for surface, readings in lexicon.items():
+        for tag, lemma in readings.items():
             triples += 1
             assert lemmatize(surface, tag, rules) == lemma
     elapsed = time.monotonic() - start

@@ -199,7 +199,7 @@ class TestSyntheticGenerator:
         corpus, lexicon = generate_synthetic(cfg, seed)
         cascade = derive_safe_rules(corpus, lexicon)
         assert len(cascade) == 20
-        assert max(len(e.readings) for e in lexicon.entries.values()) == 3
+        assert max(len(r) for r in lexicon.entries.values()) == 3
         text = write_vertical(corpus) + dump_lexicon(lexicon) + format_rules(cascade)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -211,7 +211,7 @@ class TestSyntheticGenerator:
         """sha256 of the lemma lexicon's file; a surface can carry several
         readings (up to four at seed 11)."""
         lexicon = generate_lemma_lexicon(12, 6, 8, seed)
-        assert max(len(e.readings) for e in lexicon.entries.values()) > 1
+        assert max(len(r) for r in lexicon.entries.values()) > 1
         assert hashlib.sha256(dump_lexicon(lexicon).encode()).hexdigest() == digest
 
     def test_seeds_differ(self):
@@ -222,13 +222,13 @@ class TestSyntheticGenerator:
         cfg = SyntheticConfig(tag_count=8, vocab_size=50, sentence_count=5,
                               ambiguity_rate=0.0)
         _, lexicon = generate_synthetic(cfg, 3)
-        assert all(len(e.readings) == 1 for e in lexicon.entries.values())
+        assert all(len(r) == 1 for r in lexicon.entries.values())
 
     def test_ambiguity_rate_hit(self):
         cfg = SyntheticConfig(tag_count=30, vocab_size=2000, sentence_count=1000,
                               ambiguity_rate=0.3)
         _, lexicon = generate_synthetic(cfg, 5)
-        ambiguous = sum(1 for e in lexicon.entries.values() if len(e.readings) > 1)
+        ambiguous = sum(1 for r in lexicon.entries.values() if len(r) > 1)
         assert abs(ambiguous / len(lexicon.entries) - 0.3) < 0.03
 
     def test_lexicon_exhaustive(self):

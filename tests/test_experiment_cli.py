@@ -571,6 +571,14 @@ class TestCliLemmatize:
         assert "2/2 correct" in capsys.readouterr().out
         assert "V1\tох\tа\t2" in rules_out.read_text()
 
+    def test_check_reports_a_miss(self, tmp_path, capsys):
+        # The longer suffix rule (-b -> -c, from "b") wins for "ab", whose
+        # own lemma needs the empty rewrite.
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("b\tX\tc\nab\tX\tab\n")
+        assert main(["lemmatize", "--lexicon", str(lex), "--check"]) == 4
+        assert capsys.readouterr().out == "round-trip: 1/2 correct\n"
+
     def test_apply_to_corpus(self, tmp_path):
         lex = tmp_path / "lex.tsv"
         lex.write_text("четох\tV1\tчета\n")

@@ -86,8 +86,8 @@ class TestApplication:
         lex = generate_lemma_lexicon(paradigm_count=6, forms_per_paradigm=4,
                                      stems_per_paradigm=5, seed=seed)
         rules = generate_rules(lex)
-        for surface, entry in lex.items():
-            for tag, lemma in entry.readings.items():
+        for surface, readings in lex.items():
+            for tag, lemma in readings.items():
                 assert lemmatize(surface, tag, rules) == lemma
 
 
@@ -102,7 +102,7 @@ class TestPinned:
         lex = generate_lemma_lexicon(12, 6, 8, seed)
         rules = generate_rules(lex)
         lemmas = [lemmatize(surface, tag, rules)
-                  for surface, entry in sorted(lex.items()) for tag in sorted(entry.readings)]
+                  for surface, readings in sorted(lex.items()) for tag in sorted(readings)]
         text = dump_rules(rules) + "\n".join(lemmas)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import make_corpus, make_lexicon
@@ -5,7 +7,7 @@ from morphtag.baselines import build_mft
 from morphtag.errors import DataError, FormatError
 from morphtag.lexicon import ambiguity_stats, dump_lexicon, lexicon_sets, load_lexicon
 from morphtag.rules import audit_precision, parse_rules
-from morphtag.synthetic import generate_lemma_lexicon
+from morphtag.synthetic import SyntheticConfig, generate_lemma_lexicon, generate_synthetic
 
 
 class TestLoad:
@@ -59,12 +61,27 @@ class TestLoad:
     def test_tag_set_held_once(self):
         loaded = load_lexicon("a\tX\nb\tY\na\tZ\tl\n")
         for lex in (loaded, generate_lemma_lexicon(3, 2, 2, seed=1)):
-            for surface, entry in lex.items():
+            for surface, readings in lex.items():
                 tags = lex.tags(surface)
-                assert tags == set(entry.readings)
+                assert tags == set(readings)
                 assert lex.tags(surface) is tags
         # A reading of a surface that already has an entry is in its set.
         assert loaded.tags("a") == {"X", "Z"}
+
+    def test_readings_untracked(self):
+        """A readings map holds only strings and None, so the cyclic
+        collector does not track it: a large lexicon leaves nothing per
+        surface for the collector to rescan, and lookups keep that so."""
+        lemmas = generate_lemma_lexicon(6, 4, 5, seed=2)
+        cases = [load_lexicon("a\tX\nb\tY\tl\na\tZ\n"), lemmas,
+                 load_lexicon(dump_lexicon(lemmas)),
+                 generate_synthetic(SyntheticConfig(tag_count=8, vocab_size=80,
+                                                    sentence_count=5, ambiguity_rate=0.5), 3)[1]]
+        for lex in cases:
+            assert len(lex) > 1 and max(len(r) for r in lex.entries.values()) > 1
+            for surface, readings in lex.items():
+                lex.tags(surface)
+                assert not gc.is_tracked(readings)
 
 
 class TestTagClass:

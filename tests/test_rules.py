@@ -9,7 +9,7 @@ from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Sentence, Token
 from morphtag.errors import DataError, FormatError
 from morphtag.lexicon import ambiguity_stats
-from morphtag.rules import (Condition, Rule, RuleCascade, _sweep, apply_cascade,
+from morphtag.rules import (Condition, Rule, RuleCascade, _sweep, _visits, apply_cascade,
                             audit_precision, format_rules, parse_rules)
 from morphtag.synthetic import SyntheticConfig, derive_safe_rules, generate_synthetic
 
@@ -346,8 +346,34 @@ class TestAmbiguityStatsMatchesReference:
         assert ambiguity_stats(lex, corpus, None, None) == (2 / 4, 6 / 4)
 
 
+class TestUnvisitedSentences:
+    """The audits walk only the sentences that some rule can visit;
+    `ambiguity_stats` counts the others per (surface, gold tag).  A cascade
+    with an always-visited rule (SENT-INITIAL) skips no sentence.  Both ways
+    the results are those of the per-token recount."""
+
+    @pytest.mark.parametrize("always", [False, True])
+    def test_generated_corpus(self, always):
+        corpus, lex = generate_synthetic(
+            SyntheticConfig(tag_count=12, vocab_size=300, sentence_count=150,
+                            ambiguity_rate=0.5), 3)
+        cascade = derive_safe_rules(corpus, lex)
+        if always:
+            first = parse_rules("RULE first\nIF 0 SENT-INITIAL\nTHEN REMOVE A\nEND\n")
+            cascade = RuleCascade(cascade.rules + first.rules)
+        visited = sum(1 for s in corpus if _visits(cascade, s))
+        assert (visited == len(corpus)) if always else (0 < visited < len(corpus))
+        for punct_class in ("U", None):
+            assert (ambiguity_stats(lex, corpus, cascade, punct_class)
+                    == reference_ambiguity(lex, corpus, cascade, punct_class))
+        report = audit_precision(cascade, corpus, lex)
+        assert report == reference_audit(cascade, corpus, lex)
+        if always:
+            assert report["first"][0] > 0 and report["first"][1] > 0
+
+
 def _lexicon_state(lex):
-    return {s: (e.surface, dict(e.readings), e.tags) for s, e in lex.items()}
+    return {s: (dict(readings), lex.tags(s)) for s, readings in lex.items()}
 
 
 class TestNoMutation:

@@ -836,7 +836,7 @@ class TestGolden:
         orders = self.ORDERS[case]
         corpus, lex = small_setup(seed=5, sentences=40, tags=10, vocab=60)
         if case == "lexicon-oov":
-            lex = Lexicon({w: e for i, (w, e) in enumerate(sorted(lex.entries.items()))
+            lex = Lexicon({w: r for i, (w, r) in enumerate(sorted(lex.entries.items()))
                            if i % 3})
         tr, te = split_corpus(corpus, (0.75, 0.25))
         cascade = derive_safe_rules(tr, lex) if filtered else None
