@@ -116,7 +116,7 @@ class SuffixGuesser:
 
 
 def load_guesser(text: str, path=None) -> SuffixGuesser:
-    """Guesser table: ordered `suffix<TAB>tag` lines plus one
+    """Guesser table: ordered `suffix<TAB>tag` lines plus exactly one
     `DEFAULT<TAB>tag` line."""
     rules = []
     default = None
@@ -130,6 +130,8 @@ def load_guesser(text: str, path=None) -> SuffixGuesser:
             if _has_space(value):
                 raise FormatError(f"whitespace in {name} {value!r}", lineno, path)
         if fields[0] == "DEFAULT":
+            if default is not None:
+                raise FormatError("second DEFAULT line", lineno, path)
             default = fields[1]
         else:
             rules.append((fields[0], fields[1]))

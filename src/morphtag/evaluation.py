@@ -4,7 +4,7 @@ testing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import Corpus
 from .lexicon import Lexicon
@@ -22,15 +22,7 @@ class EvalReport:
     projected_accuracy: dict[int, float] = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "token_accuracy": self.token_accuracy,
-            "sentence_accuracy": self.sentence_accuracy,
-            "unknown_token_accuracy": self.unknown_token_accuracy,
-            "token_count": self.token_count,
-            "unknown_token_count": self.unknown_token_count,
-            "confusion_pairs": self.confusion_pairs,
-            "projected_accuracy": self.projected_accuracy,
-        }
+        return asdict(self)
 
 
 def _walk(gold: Corpus, predicted):

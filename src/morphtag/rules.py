@@ -33,10 +33,10 @@ DSL, one rule per block:
     THEN RETAIN p1,p2,...      (or THEN REMOVE p1,p2,...)
     END
 
-Offsets are -2..+2 relative to the current token and at least one condition
-must use offset 0.  Tag patterns (HAS-PREFIX, RETAIN, REMOVE) match by
-string prefix.  NUMERAL holds when the surface is all digits or every
-candidate tag starts with the numeral class prefix ("M").
+Offsets are -2..+2 relative to the current token, some condition must use
+offset 0, and a block has one THEN.  Tag patterns (HAS-PREFIX, RETAIN,
+REMOVE) match by string prefix.  NUMERAL holds when the surface is all
+digits or every candidate tag starts with the numeral class prefix ("M").
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ def parse_rules(text: str, path=None) -> RuleCascade:
         elif keyword == "THEN":
             if rule_id is None:
                 raise FormatError("THEN outside a rule block", lineno, path)
+            if action is not None:
+                raise FormatError(f"rule {rule_id!r} has a second THEN action", lineno, path)
             if len(parts) != 3 or parts[1] not in ("RETAIN", "REMOVE"):
                 raise FormatError("THEN needs RETAIN or REMOVE and a pattern list", lineno, path)
             action = parts[1]

@@ -46,7 +46,7 @@ decoding uses their average over all updates, which `_AveragedAccumulator`
 keeps per cell and emits as a `SparseTable`: the compressed sparse rows the
 model file stores, which a loaded model keeps as they are read.  No dense
 table of the averaged rows is built: decoding sums a sentence's static rows
-with one bincount and adds tag-context rows dense, memoised on the table.
+with one bincount and adds tag-context rows dense, from a bounded memo.
 
 The lexicon is read in one pass per sentence, which training, decoding and
 `rescore` share.  It looks each token up once, runs each rule cascade it
@@ -63,7 +63,6 @@ import itertools
 import json
 import math
 import weakref
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -77,6 +76,7 @@ from .rules import RuleCascade, apply_cascade
 from .tagset import TagInventory
 
 CANDIDATE_SOURCES = ("all", "lexicon", "lexicon+rules")
+_DENSE_CELLS = 2 ** 21  # the cells a _DenseRows memo holds at most: 16 MiB
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,8 @@ class SparseTable(Mapping):
     As a Mapping it reads feature id -> a fresh dense row, in row order, so
     writing to a row read from it changes nothing.  Decoding reads the
     arrays: `sums` adds up the rows of every position of a sentence at once,
-    and `dense` memoises the dense rows that tag-context features add to a
-    score vector.  No dense block of all the rows is ever built."""
+    and `dense` is a bounded memo of the dense rows that tag-context
+    features add to a score vector.  No dense block of all rows is built."""
 
     def __init__(self, T: int, fids=(), offsets=(0,), tag_ids=(), cells=()):
         self.T = T
@@ -327,14 +327,18 @@ class SparseTable(Mapping):
 class _DenseRows(dict):
     """fid -> a SparseTable's dense row, or None for a fid without one,
     built on first use.  Decoding adds these rows to score vectors and
-    never writes to them."""
+    never writes to them.  A miss that finds `_DENSE_CELLS // T` rows held
+    first empties the memo, so a long run keeps a bounded set of rows."""
 
     def __init__(self, table: SparseTable):
         super().__init__()
         self.table = weakref.ref(table)  # the table holds this memo
 
     def __missing__(self, fid):
-        row = self[fid] = self.table().get(fid)
+        table = self.table()
+        if len(self) >= _DENSE_CELLS // table.T:
+            self.clear()
+        row = self[fid] = table.get(fid)
         return row
 
 
@@ -411,32 +415,33 @@ class _SentenceScorer:
     and so is the sum of their weight rows.  A query copies that sum and
     adds the rows of its tag-context features.  These are the float
     additions of summing every row from +0.0, in the same order, so each
-    score is exact.  The construction picks how the table is read.  Training
-    reads the raw weights, a dict of dense rows that its updates write, and
-    sums a position's static rows on its first scoring; a sum stays valid
-    while the table does, and after a change confined to two columns,
-    `refresh` recomputes those columns of a position's sum and of its cached
-    score vectors.  Decoding and `rescore` read the averaged `SparseTable`:
-    one `SparseTable.sums` gives every position's static sum, and the
-    tag-context rows are the table's memoised dense rows."""
+    score is exact.  Static features read only `use_lexicon_features` of
+    `model.cfg`, which `for_training()` keeps.  Training reads the raw
+    weights, a dict of dense rows that its updates write, interns unseen
+    features, and sums a position's static rows on its first scoring; a sum
+    stays valid while the table does, and after a change confined to two
+    columns, `refresh` recomputes those columns of a position's sum and of
+    its cached score vectors.  Decoding and `rescore` read the averaged
+    `SparseTable` and skip unseen features: one `SparseTable.sums` gives
+    every position's static sum, and tag-context rows come from its memo."""
 
-    def __init__(self, model: Model, words, table, cfg: FeatureConfig, suggested, grow: bool):
+    def __init__(self, model: Model, words, suggested, training: bool = False):
         self.model = model
         self.words = words
-        self.grow = grow
+        self.training = training
         self.T = len(model.inventory)
-        self.static_ids = [self._intern(word_features(words, i, cfg, suggested[i]))
+        self.static_ids = [self._intern(word_features(words, i, model.cfg, suggested[i]))
                            for i in range(len(words))]
         self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
-        if isinstance(table, SparseTable):
-            self.row = table.dense.__getitem__
-            self.static_sums.update(enumerate(table.sums(self.static_ids)))
+        if training:
+            self.row = model.weights.get
         else:
-            self.row = table.get
+            self.row = model.averaged.dense.__getitem__
+            self.static_sums.update(enumerate(model.averaged.sums(self.static_ids)))
 
     def _intern(self, feats) -> list[int]:
         ids = self.model.feature_ids
-        if self.grow:  # intern only the features not seen yet, in first-seen order
+        if self.training:  # intern only the features not seen yet, in first-seen order
             intern = self.model.intern
             return [fid if (fid := ids.get(f)) is not None else intern(f) for f in feats]
         return [fid for f in feats if (fid := ids.get(f)) is not None]
@@ -667,8 +672,7 @@ def _decode(sentence, model, lexicon, rules, dopts, trace):
     `trace` unless it is None."""
     cand_ids, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, model.cfg,
                                         dopts.candidate_source, dopts.hard_output_rules)
-    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, model.cfg,
-                             suggested, grow=False)
+    scorer = _SentenceScorer(model, sentence.surfaces(), suggested)
 
     def choose(p, c, cache):
         if trace is not None:
@@ -693,8 +697,7 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
     if len(tags) != n:
         raise ValueError("tags/sentence length mismatch")
     _, suggested = _lexicon_pass(sentence, model.inventory, lexicon, rules, model.cfg)
-    scorer = _SentenceScorer(model, sentence.surfaces(), model.averaged, model.cfg,
-                             suggested, grow=False)
+    scorer = _SentenceScorer(model, sentence.surfaces(), suggested)
     tag_ids = [model.inventory.id(t) for t in tags]
     assigned: dict[int, int] = {}
     total = 0.0
@@ -730,23 +733,28 @@ class _AveragedAccumulator:
 
     since delta_j is in the k - j + 1 snapshots from w_j on.  A PA update
     changes two cells per feature row, so u is a sparse map of cells, keyed
-    fid * T + tag.  `touch` is called before a row changes; this form needs
-    no work there, but a subclass can watch the rows through it."""
+    fid * T + tag."""
 
     def __init__(self, T: int):
         self.T = T
         self.u: dict[int, float] = {}
         self.k = 0  # number of updates so far
 
-    def touch(self, fid: int, row: np.ndarray):
-        """Row fid is about to change in update k + 1."""
-
-    def add(self, fid: int, g: int, c: int, step: float):
-        """Update k + 1 adds `step` to cell g of row fid and subtracts it
-        from cell c."""
-        u, key, credit = self.u, fid * self.T, self.k * step
-        u[key + g] = u.get(key + g, 0.0) + credit
-        u[key + c] = u.get(key + c, 0.0) - credit
+    def update(self, weights: dict[int, np.ndarray], fids, g: int, c: int, step: float):
+        """Update k + 1: add `step` to cell g and subtract it from cell c of
+        the raw row of each of the distinct `fids`, creating a missing row as
+        zeros, and credit u with the same two cells."""
+        T, u, credit = self.T, self.u, self.k * step
+        for fid in fids:
+            row = weights.get(fid)
+            if row is None:
+                row = weights[fid] = np.zeros(T)
+            row[g] += step
+            row[c] -= step
+            key = fid * T
+            u[key + g] = u.get(key + g, 0.0) + credit
+            u[key + c] = u.get(key + c, 0.0) - credit
+        self.k += 1
 
     def finalize(self, weights: dict[int, np.ndarray]) -> SparseTable:
         """The averaged rows, w - u / k, as a SparseTable with a row for each
@@ -834,8 +842,8 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
             gold = sent_gold[i]
             scorer = scorers[i]
             if scorer is None:
-                scorer = scorers[i] = _SentenceScorer(model, sent.surfaces(), model.weights,
-                                                      cfg, sent_suggested[i], grow=True)
+                scorer = scorers[i] = _SentenceScorer(model, sent.surfaces(), sent_suggested[i],
+                                                      training=True)
             dirty: set[int] = set()  # positions that triggered an update
             guard = 0
             guard_limit = 50 + 10 * len(gold)
@@ -850,18 +858,9 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 _, _, (_, _, vec, dynamic), _ = cache[p]
                 fids = scorer.static_ids[p] + dynamic
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
-                denom = 2.0 * len(fids)
+                denom = 2.0 * len(fids)  # ||delta||^2: a position's features are distinct
                 tau = min(C, (margin + s_pred - s_gold) / denom)
-                for fid, m in Counter(fids).items():
-                    row = model.weights.get(fid)
-                    if row is None:
-                        row = model.weights[fid] = np.zeros(len(inventory))
-                    avg.touch(fid, row)
-                    step = tau * m
-                    row[gold[p]] += step
-                    row[c] -= step
-                    avg.add(fid, gold[p], c, step)
-                avg.k += 1
+                avg.update(model.weights, fids, gold[p], c, tau)
                 if update_log is not None:
                     vec2 = scorer.score_vector(fids)
                     update_log.append(UpdateRecord(

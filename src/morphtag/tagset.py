@@ -122,8 +122,9 @@ def parse_schema(text: str, path=None) -> TagSchema:
         punct <letter>
         <letter> <lengths> [<field>=<pos>[,<pos>...]]... [lemma=<f1>,..] [syntax=<f1>,..]
 
-    where <lengths> is '*' (any) or a comma-separated list of integers, and
-    positions are 0-based character indices into the tag string.
+    where <lengths> is '*' (any) or a comma-separated list of integers >= 1,
+    and positions are 0-based character indices into the tag string.  A
+    name given twice in a class line, or a second punct line, is an error.
     """
     classes: dict[str, ClassLayout] = {}
     punct: str | None = None
@@ -135,6 +136,8 @@ def parse_schema(text: str, path=None) -> TagSchema:
         if parts[0] == "punct":
             if len(parts) != 2 or len(parts[1]) != 1:
                 raise FormatError("punct declaration needs one class letter", lineno, path)
+            if punct is not None:
+                raise FormatError("repeated punct declaration", lineno, path)
             punct = parts[1]
             continue
         letter = parts[0]
@@ -151,26 +154,25 @@ def parse_schema(text: str, path=None) -> TagSchema:
                 lengths = frozenset(int(x) for x in parts[1].split(","))
             except ValueError:
                 raise FormatError(f"bad lengths {parts[1]!r}", lineno, path) from None
+            if min(lengths) < 1:
+                raise FormatError(f"tag lengths must be >= 1, got {parts[1]!r}", lineno, path)
         fields: dict[str, tuple[int, ...]] = {}
-        lemma_mask: frozenset[str] = frozenset()
-        syntax_mask: frozenset[str] = frozenset()
+        masks: dict[str, frozenset[str]] = {}  # ClassLayout's lemma_mask, syntax_mask
         for token in parts[2:]:
             if "=" not in token:
                 raise FormatError(f"expected name=value, got {token!r}", lineno, path)
             name, value = token.split("=", 1)
-            if name == "lemma":
-                lemma_mask = frozenset(x for x in value.split(",") if x)
-            elif name == "syntax":
-                syntax_mask = frozenset(x for x in value.split(",") if x)
+            if name in fields or f"{name}_mask" in masks:
+                raise FormatError(f"duplicate field {name!r}", lineno, path)
+            if name in ("lemma", "syntax"):
+                masks[f"{name}_mask"] = frozenset(x for x in value.split(",") if x)
             else:
-                if name in fields:
-                    raise FormatError(f"duplicate field {name!r}", lineno, path)
                 try:
                     fields[name] = tuple(int(x) for x in value.split(","))
                 except ValueError:
                     raise FormatError(f"bad positions in {token!r}", lineno, path) from None
         try:
-            classes[letter] = ClassLayout(letter, lengths, fields, lemma_mask, syntax_mask)
+            classes[letter] = ClassLayout(letter, lengths, fields, **masks)
         except SchemaError as exc:
             raise FormatError(str(exc), lineno, path) from None
     return TagSchema(classes, punct)

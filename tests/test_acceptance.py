@@ -323,20 +323,9 @@ def test_criterion_10_averaged_perceptron_oracle(monkeypatch):
     snapshots = []
 
     class Recording(_AveragedAccumulator):
-        def __init__(self, T):
-            self.rows = {}
-            super().__init__(T)
-
-        def touch(self, fid, row):
-            self.rows[fid] = row
-            super().touch(fid, row)
-
-        def __setattr__(self, name, value):
-            increment = (name == "k" and "rows" in self.__dict__
-                         and value == self.__dict__.get("k", -2) + 1)
-            super().__setattr__(name, value)
-            if increment:
-                snapshots.append({f: r.copy() for f, r in self.rows.items()})
+        def update(self, weights, fids, g, c, step):
+            super().update(weights, fids, g, c, step)
+            snapshots.append({f: r.copy() for f, r in weights.items()})
 
     monkeypatch.setattr(tagger_mod, "_AveragedAccumulator", Recording)
     cfg = SyntheticConfig(tag_count=6, vocab_size=30, sentence_count=12,

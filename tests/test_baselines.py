@@ -130,6 +130,12 @@ class TestUnknownStrategies:
             load_guesser("DEFAULT\tN\n")
 
 
+    def test_guesser_second_default_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            load_guesser("DEFAULT\tN\na\tX\nDEFAULT\tV\n", "g.tsv")
+        assert str(exc.value) == "g.tsv:3: second DEFAULT line"
+
+
 class TestLexiconBackoff:
     def test_surface_first(self):
         lex = make_lexicon({"а": ["X", "Y"]})

@@ -36,6 +36,18 @@ class TestEvaluate:
         assert (rep.projected_accuracy[1] >= rep.projected_accuracy[2]
                 >= rep.token_accuracy)
 
+    def test_to_dict_pinned(self):
+        """Keys, order, values and repr of `to_dict`, which perfbench's
+        round digest hashes."""
+        corpus = make_corpus(["а/Ncmsf", "б/Vx", "в/Ncfsi"], ["г/Ansi"])
+        rep = evaluate(corpus, [["Ncmsi", "Vx", "Ncmsi"], ["Ncfsi"]],
+                       training_vocabulary={"а", "б"}, depths=(1, 2, 3))
+        assert repr(rep.to_dict()) == (
+            "{'token_accuracy': 0.25, 'sentence_accuracy': 0.0, "
+            "'unknown_token_accuracy': 0.0, 'token_count': 4, 'unknown_token_count': 2, "
+            "'confusion_pairs': [('Ansi', 'Ncfsi', 1), ('Ncfsi', 'Ncmsi', 1), "
+            "('Ncmsf', 'Ncmsi', 1)], 'projected_accuracy': {1: 0.75, 2: 0.75, 3: 0.5}}")
+
     def test_length_mismatch(self):
         corpus = make_corpus(["а/X"])
         with pytest.raises(ValueError):

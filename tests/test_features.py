@@ -116,6 +116,29 @@ class TestTagFeatures:
         assert set(tag_features(words, i, sub)) <= full
 
 
+class TestDistinctFeatures:
+    """A position's static and tag-context features are distinct strings,
+    which the tagger's PA step assumes: every template has its own `name=`
+    prefix, and the `lex=` features come from a set."""
+
+    chars = "ab|=;-1A<>/s"
+    tag = st.one_of(st.sampled_from(["<unk>", "lex=A", "A", "A|B", "s;A"]),
+                    st.text(alphabet=chars, min_size=1, max_size=5))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.text(alphabet=chars, min_size=1, max_size=MAX_AFFIX_LEN + 3),
+                    min_size=1, max_size=6),
+           st.one_of(st.none(), st.frozensets(tag, max_size=4)), st.booleans(), st.data())
+    def test_no_repeated_string(self, words, suggested, use_lexicon, data):
+        i = data.draw(st.integers(0, len(words) - 1))
+        near = [j for j in range(i - 2, i + 3) if j != i and 0 <= j < len(words)]
+        visible = data.draw(st.dictionaries(st.sampled_from(near), self.tag)
+                            if near else st.just({}))
+        cfg = FeatureConfig(use_lexicon_features=use_lexicon)
+        feats = word_features(words, i, cfg, suggested) + tag_features(words, i, visible)
+        assert len(set(feats)) == len(feats), feats
+
+
 class TestSuggestedTags:
     """Which cascade filters the suggestions is the tagger's choice; see
     TestLexiconPass in test_tagger.py."""

@@ -81,6 +81,11 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_rules(text)
 
+    def test_second_then_rejected(self):
+        with pytest.raises(FormatError) as exc:
+            parse_rules("RULE r\nIF 0 NUMERAL\nTHEN RETAIN A\nTHEN REMOVE B\nEND\n", "r.dsl")
+        assert str(exc.value) == "r.dsl:4: rule 'r' has a second THEN action"
+
     def test_roundtrip(self):
         cascade = parse_rules(YA_RULES + "\n" + NUMERAL_RULE)
         assert parse_rules(format_rules(cascade)) == cascade

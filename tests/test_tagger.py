@@ -164,18 +164,8 @@ class TestAveragedAccumulator:
         acc = _AveragedAccumulator(T)
         snapshots = []
         for _ in range(rng.randint(1, 200)):
-            touched = rng.sample(fids, rng.randint(1, 3))
-            for fid in touched:
-                row = weights.get(fid)
-                if row is None:
-                    row = weights[fid] = np.zeros(T)
-                acc.touch(fid, row)
-                g, c = rng.sample(range(T), 2)
-                step = rng.uniform(0, 1)
-                row[g] += step
-                row[c] -= step
-                acc.add(fid, g, c, step)
-            acc.k += 1
+            g, c = rng.sample(range(T), 2)
+            acc.update(weights, rng.sample(fids, rng.randint(1, 3)), g, c, rng.uniform(0, 1))
             snapshots.append({f: w.copy() for f, w in weights.items()})
         averaged = acc.finalize(weights)
         k = len(snapshots)
@@ -706,6 +696,28 @@ class TestSparseTable:
         assert 3 not in table and 8 not in table and table.get(-1) is None
         table[7][0] = 9.0
         assert table[7][0] == 1.5 and table.sums([[7]])[0, 0] == 1.5
+
+    def test_dense_memo_bounded(self, monkeypatch):
+        """A memo bounded to four rows never holds more, empties itself
+        while decoding, and gives the tags and scores of an unbounded one
+        at beams 1 and 3."""
+        corpus, lex = small_setup(seed=5, sentences=30, tags=10, vocab=60)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        runs = [(s, DecodeOptions(beam_size=b)) for b in (1, 3) for s in corpus.sentences]
+        expect = [decode(s, model, lex, dopts=d) for s, d in runs]
+        assert len(model.averaged.dense) > 4
+        model.averaged.dense.clear()
+        monkeypatch.setattr(tagger_mod, "_DENSE_CELLS", 4 * len(model.inventory) + 3)
+        sizes = []
+        missing = tagger_mod._DenseRows.__missing__
+
+        def recording(memo, fid):
+            row = missing(memo, fid)
+            sizes.append(len(memo))
+            return row
+        monkeypatch.setattr(tagger_mod._DenseRows, "__missing__", recording)
+        assert [decode(s, model, lex, dopts=d) for s, d in runs] == expect
+        assert max(sizes) == 4 and sizes.count(1) > 1
 
     def test_no_dense_table(self, tmp_path):
         """Neither the averaged table that training returns nor the one a

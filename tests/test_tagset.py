@@ -86,6 +86,18 @@ class TestSchemaParsing:
         with pytest.raises(FormatError):
             parse_schema("N * a=1\nN * b=2\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("punct U\nN * a=1\npunct V\n", 3, "repeated punct declaration"),
+        ("N * a=1 b=2 lemma=a lemma=b\n", 1, "duplicate field 'lemma'"),
+        ("N * a=1\nV * a=1 b=2 syntax=a syntax=b\n", 2, "duplicate field 'syntax'"),
+        ("N 0,-3 a=1\n", 1, "tag lengths must be >= 1, got '0,-3'"),
+        ("N 5,0\n", 1, "tag lengths must be >= 1, got '5,0'"),
+    ])
+    def test_repeated_setting_or_length_below_one(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            parse_schema(text, "s.txt")
+        assert str(exc.value) == f"s.txt:{line}: {message}"
+
     def test_punct_class(self, schema):
         assert schema.punct_class == "U"
         assert parse_schema("N * a=1\n").punct_class is None
