@@ -38,10 +38,13 @@ spent its update budget; otherwise a passive-aggressive update promotes the
 gold action and demotes the predicted one with step size
 tau = min(C, (margin + s_pred - s_gold) / ||delta features||^2), and the
 step is repeated.  The update changes only the gold and predicted columns of
-the raw weights, so before the repeat those two columns of every cached
-static sum and score vector are summed again, over the same rows in the same
-order, and each position's best tag is re-derived: the cache ends exactly as
-a full rescore would leave it.  Raw weights, dense rows, drive training;
+the raw weights, so before the repeat those two columns of a cached static
+sum and score vector are summed again, over the same rows in the same order,
+and the position's best tag is re-derived, at every cached position that can
+read one of them: one on the full inventory, or one with either column among
+its candidates.  The others read neither column, and keep their entries.  At
+every column the search reads, the cache ends exactly as a full rescore
+would leave it.  Raw weights, dense rows, drive training;
 decoding uses their average over all updates, which `_AveragedAccumulator`
 keeps per cell and emits as a `SparseTable`: the compressed sparse rows the
 model file stores, which a loaded model keeps as they are read.  No dense
@@ -421,9 +424,12 @@ class _SentenceScorer:
     features, and sums a position's static rows on its first scoring; a sum
     stays valid while the table does, and after a change confined to two
     columns, `refresh` recomputes those columns of a position's sum and of
-    its cached score vectors.  Decoding and `rescore` read the averaged
-    `SparseTable` and skip unseen features: one `SparseTable.sums` gives
-    every position's static sum, and tag-context rows come from its memo."""
+    its cached score vectors.  A position `_refresh` skips keeps a sum that
+    is stale outside its candidates, where no search reads it; training
+    drops the sums after every search.  Decoding and `rescore` read the
+    averaged `SparseTable` and skip unseen features: one `SparseTable.sums`
+    gives every position's static sum, and tag-context rows come from its
+    memo."""
 
     def __init__(self, model: Model, words, suggested, training: bool = False):
         self.model = model
@@ -471,7 +477,8 @@ class _SentenceScorer:
         """Recompute columns g and c of position i's static sum and of each
         pair's score vector, in place, after the table changed in those
         columns only.  Each cell is summed as plain floats over the same
-        rows in the same order as a full rescore."""
+        rows in the same order as a full rescore.  `_refresh` calls it only
+        for the positions that can read column g or c."""
         sg, sc = self._column_sums(0.0, 0.0, self.static_ids[i], g, c)
         static = self.static_sums[i]
         static[g], static[c] = sg, sc
@@ -563,10 +570,24 @@ def _top_tags(scores: np.ndarray, beam: int) -> list[tuple[float, int]]:
 
 def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
     """Bring every cache entry up to date after the table changed in
-    columns g and c only; the same as rescoring every cached position."""
+    columns g and c only.
+
+    A position whose candidates are not the full inventory and hold neither
+    g nor c is skipped: its entry stays as it is, and its static sum and
+    score vectors go stale in those two columns only.  That is exact at
+    every column the search reads.  `_entry` reads a vector at the
+    position's candidates only, a training commit keeps a candidate, and a
+    later `score` of the position copies its static sum, so the staleness
+    reaches only vectors read at those same candidates; the position an
+    update was made at holds both columns and is always refreshed.  Every
+    other position gets the entry a full rescore would give it."""
+    T = scorer.T
     for q, e in cache.items():
+        ids = cand_ids[q]
+        if len(ids) < T and g not in ids and c not in ids:
+            continue
         scorer.refresh(q, e[3], g, c)
-        cache[q] = _entry(e[3], cand_ids[q], scorer.T)
+        cache[q] = _entry(e[3], ids, T)
 
 
 def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
@@ -577,6 +598,8 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     `_entry`; a pair is (left hypothesis, right hypothesis, score vector,
     tag-context feature ids).  choose returns the tags the commit may keep
     at p, or None to repeat the step, after bringing the cache up to date.
+    A step at which no untagged position has a finite best score raises
+    FloatingPointError.
     """
     n = len(scorer.words)
     span_at: list[_Span | None] = [None] * n  # written at span edges only
@@ -610,6 +633,8 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
                 e = cache[q] = entry(q)
             if e[0] > top[0]:
                 p, top = q, e
+        if p is None:  # every best score is -inf or NaN
+            raise FloatingPointError("no untagged position has a finite best score")
         keep = choose(p, top[1], cache)
         if keep is None:
             continue
@@ -796,6 +821,11 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     The model records `cfg` and trains under `cfg.for_training()`: a
     "test-only" lexicon filter trains on unfiltered suggestions.  Pass
     `update_log` to capture every PA update for audits.
+
+    Training that diverges raises ConfigError naming `aggressiveness` and
+    `margin`: as soon as a PA update meets a score or step that is not
+    finite, when no untagged position has a finite best score, and at the
+    end if an averaged cell is not finite, which `Model.load` would reject.
     """
     if not corpus.sentences:
         raise ConfigError("cannot train on an empty corpus")
@@ -814,6 +844,8 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                                         "candidate_source": topts.candidate_source})
     avg = _AveragedAccumulator(len(inventory))
     C, margin = topts.aggressiveness, topts.margin
+    diverged = (f"training diverged: a score or weight is no longer finite; lower "
+                f"aggressiveness (now {C}) or margin (now {margin})")
     epoch_accuracy = []
     cfg = cfg.for_training()
 
@@ -860,6 +892,9 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
                 denom = 2.0 * len(fids)  # ||delta||^2: a position's features are distinct
                 tau = min(C, (margin + s_pred - s_gold) / denom)
+                # tau alone can be finite (C) when a score is not.
+                if not (math.isfinite(s_pred) and math.isfinite(s_gold) and math.isfinite(tau)):
+                    raise ConfigError(diverged)
                 avg.update(model.weights, fids, gold[p], c, tau)
                 if update_log is not None:
                     vec2 = scorer.score_vector(fids)
@@ -870,7 +905,10 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 _refresh(scorer, cache, sent_cands[i], gold[p], c)
                 return None
 
-            _search(scorer, sent_cands[i], 1, choose)
+            try:
+                _search(scorer, sent_cands[i], 1, choose)
+            except FloatingPointError:
+                raise ConfigError(diverged) from None
             # Later updates change the table, so the next search rebuilds
             # the static sums; releasing them keeps memory flat.
             scorer.static_sums.clear()
@@ -879,6 +917,10 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
         epoch_accuracy.append(clean_tokens / total_tokens)
 
     model.averaged = avg.finalize(model.weights)
+    # Model.load rejects such a cell, so the model would be written but
+    # could not be read back.
+    if not np.isfinite(model.averaged.cells).all():
+        raise ConfigError(diverged)
     model.meta["updates"] = avg.k
     model.meta["epoch_accuracy"] = epoch_accuracy
     return model, epoch_accuracy

@@ -217,6 +217,24 @@ class TestCliTrainTag:
         assert len(err) == (expected != 0)
         assert model.exists() == (expected == 0)
 
+    @pytest.mark.parametrize("seed, sentences", [(1, 10), (4, 20)])
+    def test_diverging_training_exit_3(self, seed, sentences, tmp_path, capsys):
+        """Uncapped steps with a margin of 1e308 overflow the weights: on the
+        first corpus a PA update meets a score that is not finite, on the
+        second an averaged cell is not finite.  Either way training exits 3
+        with one line naming both options, and writes no model."""
+        corpus, model = tmp_path / "c.tsv", tmp_path / "m.json"
+        assert main(["gen-synthetic", "--seed", str(seed), "--tags", "6", "--vocab", "30",
+                     "--sentences", str(sentences), "--out-corpus", str(corpus),
+                     "--out-lexicon", str(tmp_path / "l.tsv")]) == 0
+        capsys.readouterr()
+        assert main(["train", "--train", str(corpus), "--model", str(model),
+                     "--aggressiveness", "inf", "--margin", "1e308", "--epochs", "2"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "aggressiveness" in err[0] and "margin" in err[0]
+        assert not model.exists()
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "none.tsv"),
                      "--model", str(tmp_path / "m.json")]) == 3

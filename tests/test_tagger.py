@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -149,6 +150,45 @@ class TestTraining:
               cfg=FeatureConfig(use_lexicon_features=False), update_log=log)
         for rec in log:
             assert rec.gold_id != rec.predicted_id
+
+
+class TestDivergence:
+    """Uncapped steps with a margin of 1e308 overflow the weights.  Training
+    then raises ConfigError naming both options instead of crashing or
+    returning a model that Model.load would reject."""
+
+    @staticmethod
+    def _train(seed, sentences, **kwargs):
+        corpus, _ = small_setup(seed=seed, sentences=sentences, tags=6, vocab=30)
+        return train(corpus, topts=TrainOptions(epochs=2, aggressiveness=math.inf, margin=1e308),
+                     cfg=FeatureConfig(use_lexicon_features=False), **kwargs)
+
+    def test_update_meets_a_non_finite_score(self):
+        # Unchecked, the NaN scores leave no best action, and the search
+        # indexes an empty one.
+        log = []
+        with pytest.raises(ConfigError, match="aggressiveness .* margin"):
+            self._train(1, 10, update_log=log)
+        assert log
+        assert all(math.isfinite(rec.tau) for rec in log)
+
+    def test_averaged_cell_not_finite(self):
+        # Every update's scores and step are finite, but an averaged cell
+        # is not.
+        with pytest.raises(ConfigError, match="aggressiveness .* margin"):
+            self._train(4, 20)
+
+    def test_no_finite_best_score(self, monkeypatch):
+        # A NaN step turns both columns of the position's rows NaN, so the
+        # one position of the sentence has no finite best score left.
+        update = _AveragedAccumulator.update
+        monkeypatch.setattr(_AveragedAccumulator, "update",
+                            lambda self, w, fids, g, c, step: update(self, w, fids, g, c,
+                                                                     math.nan))
+        corpus = make_corpus(["а/Y"], ["б/X"])
+        with pytest.raises(ConfigError, match="aggressiveness .* margin"):
+            train(corpus, topts=TrainOptions(epochs=1),
+                  cfg=FeatureConfig(use_lexicon_features=False))
 
 
 class TestAveragedAccumulator:
@@ -466,21 +506,25 @@ class TestLexiconPass:
 
 class TestScoreCacheExact:
     """Every score vector the search holds equals the sum of all its weight
-    rows from +0.0, byte for byte.  Decoding adds the tag-context rows to
-    each position's static sum; training sums the two columns an update
-    changes again instead of rescoring, and rebuilds the static sums for
-    every search."""
+    rows from +0.0, byte for byte, at every column the search reads.
+    Decoding adds the tag-context rows to each position's static sum and
+    reads every column.  Training sums the two columns an update changes
+    again instead of rescoring, only at the positions that can read one of
+    them, and rebuilds the static sums for every search: a skipped position
+    stays exact at its candidates, but not at the columns outside them."""
 
     @staticmethod
-    def _fresh(scorer, i, dynamic) -> bytes:
-        return scorer.score_vector(scorer.static_ids[i] + dynamic).tobytes()
+    def _fresh(scorer, i, dynamic) -> np.ndarray:
+        return scorer.score_vector(scorer.static_ids[i] + dynamic)
 
-    def _check_scores(self, monkeypatch, checked):
+    def _check_scores(self, monkeypatch, checked, columns):
+        """Check every `score` result at `columns(scorer, i)`."""
         score = tagger_mod._SentenceScorer.score
 
         def checking(scorer, i, visible):
             vec, dynamic = score(scorer, i, visible)
-            assert vec.tobytes() == self._fresh(scorer, i, dynamic)
+            cols = columns(scorer, i)
+            assert vec[cols].tobytes() == self._fresh(scorer, i, dynamic)[cols].tobytes()
             checked["scores"] += 1
             return vec, dynamic
         monkeypatch.setattr(tagger_mod._SentenceScorer, "score", checking)
@@ -498,7 +542,7 @@ class TestScoreCacheExact:
         model, _ = train(corpus, lex, cascade,
                          TrainOptions(epochs=1, candidate_source=source), cfg)
         checked = Counter()
-        self._check_scores(monkeypatch, checked)
+        self._check_scores(monkeypatch, checked, lambda scorer, i: slice(None))
         dopts = DecodeOptions(beam_size=beam, candidate_source=source,
                               hard_output_rules=cascade)
         for s in corpus.sentences:
@@ -507,27 +551,57 @@ class TestScoreCacheExact:
 
     @pytest.mark.parametrize("source", ["lexicon+rules", "all"])
     def test_training(self, source, monkeypatch):
+        """Cached vectors and static sums are compared at the position's
+        candidates, which are every column for the full inventory.  The
+        test counts the entries each refresh recomputes and the ones it
+        skips, and checks that a skipped entry reads neither changed
+        column."""
         corpus, lex, cascade, cfg = self._setup(source)
         checked = Counter()
-        self._check_scores(monkeypatch, checked)
+        cands_of = {}  # scorer -> the candidate ids of its search
+        search = tagger_mod._search
+
+        def recording_search(scorer, cand_ids, beam, choose):
+            cands_of[scorer] = cand_ids
+            return search(scorer, cand_ids, beam, choose)
+        monkeypatch.setattr(tagger_mod, "_search", recording_search)
+        self._check_scores(monkeypatch, checked, lambda scorer, i: cands_of[scorer][i])
+        refreshed = set()
+        scorer_refresh = tagger_mod._SentenceScorer.refresh
+
+        def recording_refresh(scorer, i, pairs, g, c):
+            refreshed.add(i)
+            scorer_refresh(scorer, i, pairs, g, c)
+        monkeypatch.setattr(tagger_mod._SentenceScorer, "refresh", recording_refresh)
         refresh = tagger_mod._refresh
 
         def checking_refresh(scorer, cache, cand_ids, g, c):
+            refreshed.clear()
             refresh(scorer, cache, cand_ids, g, c)
             checked["updates"] += 1
             for q, (best, best_c, _, pairs) in cache.items():
-                checked["entries"] += 1
-                assert (scorer.static_sums[q].tobytes()
-                        == scorer.score_vector(scorer.static_ids[q]).tobytes())
+                ids = cand_ids[q]
+                if q in refreshed:
+                    checked["refreshed"] += 1
+                else:
+                    checked["skipped"] += 1
+                    assert len(ids) < scorer.T and g not in ids and c not in ids
+                static = scorer.score_vector(scorer.static_ids[q])
+                assert scorer.static_sums[q][ids].tobytes() == static[ids].tobytes()
                 (_, _, vec, dynamic), = pairs  # training searches at beam 1
-                assert vec.tobytes() == self._fresh(scorer, q, dynamic)
-                top = max(vec[t] for t in cand_ids[q])
-                assert (best, best_c) == (top, min(t for t in cand_ids[q] if vec[t] == top))
+                assert vec[ids].tobytes() == self._fresh(scorer, q, dynamic)[ids].tobytes()
+                top = max(vec[t] for t in ids)
+                assert (best, best_c) == (top, min(t for t in ids if vec[t] == top))
         monkeypatch.setattr(tagger_mod, "_refresh", checking_refresh)
         model, _ = train(corpus, lex, cascade,
                          TrainOptions(epochs=2, candidate_source=source), cfg)
         assert checked["updates"] == model.meta["updates"] > 0
-        assert checked["entries"] > checked["updates"]
+        assert checked["refreshed"] > checked["updates"]
+        assert checked["scores"] > sum(len(s.tokens) for s in corpus)
+        if source == "all":
+            assert checked["skipped"] == 0
+        else:
+            assert checked["skipped"] > 0
 
 
 @st.composite
