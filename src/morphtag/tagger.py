@@ -44,12 +44,15 @@ and the position's best tag is re-derived, at every cached position that can
 read one of them: one on the full inventory, or one with either column among
 its candidates.  The others read neither column, and keep their entries.  At
 every column the search reads, the cache ends exactly as a full rescore
-would leave it.  Raw weights, dense rows, drive training;
-decoding uses their average over all updates, which `_AveragedAccumulator`
-keeps per cell and emits as a `SparseTable`: the compressed sparse rows the
-model file stores, which a loaded model keeps as they are read.  No dense
-table of the averaged rows is built: decoding sums a sentence's static rows
-with one bincount and adds tag-context rows dense, from a bounded memo.
+would leave it.  Raw weights drive training: a raw row is a
+`{tag id: value}` dict until it holds more than T // 64 cells, and a dense
+row after that, so at 680 tags most rows stay a few cells; below 128 tags
+every row is dense.  Decoding uses their average over all updates, which
+`_AveragedAccumulator` keeps per cell and emits as a `SparseTable`: the
+compressed sparse rows the model file stores, which a loaded model keeps as
+they are read.  No dense table of the raw or the averaged rows is built:
+decoding sums a sentence's static rows with one bincount and adds
+tag-context rows dense, from a bounded memo.
 
 The lexicon is read in one pass per sentence, which training, decoding and
 `rescore` share.  It looks each token up once, runs each rule cascade it
@@ -80,6 +83,7 @@ from .tagset import TagInventory
 
 CANDIDATE_SOURCES = ("all", "lexicon", "lexicon+rules")
 _DENSE_CELLS = 2 ** 21  # the cells a _DenseRows memo holds at most: 16 MiB
+_SPARSE_SHARE = 64  # a raw training row is a dict while it holds at most T // 64 cells
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,9 @@ class DecodeOptions:
 
 class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
-    training updates, a dict of dense rows, and their average, which
-    decoding reads, a `SparseTable`.
+    training updates, a `_RawRows`, and their average, which decoding
+    reads, a `SparseTable`.  `weights` reads each raw row as a fresh dense
+    row; training writes the rows it holds.
 
     The file (format 5) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
@@ -144,7 +149,7 @@ class Model:
         self.inventory = inventory
         self.cfg = cfg
         self.feature_ids: dict[str, int] = {}
-        self.weights: dict[int, np.ndarray] = {}
+        self.weights = _RawRows(len(inventory))
         self.averaged = SparseTable(len(inventory))
         self.meta: dict = meta or {}
 
@@ -327,6 +332,47 @@ class SparseTable(Mapping):
         return sums.astype(np.float64, copy=False).reshape(n, T)
 
 
+def _sparse_cells(T: int) -> int:
+    """The most cells a raw training row of T cells holds as a dict, or 0
+    when every row is dense from its creation: a new row holds the two
+    cells of its first update at once."""
+    cells = T // _SPARSE_SHARE
+    return cells if cells >= 2 else 0
+
+
+def _dense(cells: dict[int, float], T: int) -> np.ndarray:
+    """A dense row of T cells holding `cells` and +0.0 elsewhere."""
+    row = np.zeros(T)
+    row[list(cells)] = list(cells.values())
+    return row
+
+
+class _RawRows(Mapping):
+    """Training's raw weights.  `rows` maps a feature id to its row: a
+    `{tag id: value}` dict while the row holds at most `_sparse_cells(T)`
+    cells, and a dense float64 array of T cells after that; when that is 0
+    (below 128 tags) every row is dense.  A cell a dict does not hold is
+    +0.0.
+
+    As a Mapping it reads feature id -> a fresh dense row, in the order the
+    rows were created, so writing to a row read from it changes nothing.  A
+    loaded model has no raw rows."""
+
+    def __init__(self, T: int):
+        self.T = T
+        self.rows: dict[int, dict[int, float] | np.ndarray] = {}
+
+    def __getitem__(self, fid) -> np.ndarray:
+        row = self.rows[fid]
+        return _dense(row, self.T) if type(row) is dict else row.copy()
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class _DenseRows(dict):
     """fid -> a SparseTable's dense row, or None for a fid without one,
     built on first use.  Decoding adds these rows to score vectors and
@@ -420,7 +466,9 @@ class _SentenceScorer:
     additions of summing every row from +0.0, in the same order, so each
     score is exact.  Static features read only `use_lexicon_features` of
     `model.cfg`, which `for_training()` keeps.  Training reads the raw
-    weights, a dict of dense rows that its updates write, interns unseen
+    rows that its updates write, adding a dict row cell by cell in its
+    stored order (a cell it does not hold would add +0.0, which changes no
+    sum that starts at +0.0, as in `SparseTable.sums`), interns unseen
     features, and sums a position's static rows on its first scoring; a sum
     stays valid while the table does, and after a change confined to two
     columns, `refresh` recomputes those columns of a position's sum and of
@@ -436,11 +484,12 @@ class _SentenceScorer:
         self.words = words
         self.training = training
         self.T = len(model.inventory)
+        self.sparse = training and _sparse_cells(self.T) > 0  # can a row be a dict?
         self.static_ids = [self._intern(word_features(words, i, model.cfg, suggested[i]))
                            for i in range(len(words))]
         self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
         if training:
-            self.row = model.weights.get
+            self.row = model.weights.rows.get
         else:
             self.row = model.averaged.dense.__getitem__
             self.static_sums.update(enumerate(model.averaged.sums(self.static_ids)))
@@ -453,10 +502,15 @@ class _SentenceScorer:
         return [fid for f in feats if (fid := ids.get(f)) is not None]
 
     def _add_rows(self, vec: np.ndarray, fids) -> np.ndarray:
-        row_of = self.row
+        row_of, sparse = self.row, self.sparse
         for fid in fids:
             row = row_of(fid)
-            if row is not None:
+            if row is None:
+                continue
+            if sparse and type(row) is dict:
+                for t, v in row.items():
+                    vec[t] += v
+            else:
                 vec += row
         return vec
 
@@ -486,10 +540,15 @@ class _SentenceScorer:
             vec[g], vec[c] = self._column_sums(sg, sc, dynamic, g, c)
 
     def _column_sums(self, sg: float, sc: float, fids, g: int, c: int):
-        row_of = self.row
+        row_of, sparse = self.row, self.sparse
         for fid in fids:
             row = row_of(fid)
-            if row is not None:
+            if row is None:
+                continue
+            if sparse and type(row) is dict:
+                sg += row.get(g, 0.0)
+                sc += row.get(c, 0.0)
+            else:
                 sg += row.item(g)
                 sc += row.item(c)
         return sg, sc
@@ -677,7 +736,9 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
 def decode(sentence: Sentence, model: Model, lexicon: Lexicon | None = None,
            rules: RuleCascade | None = None,
            dopts: DecodeOptions = DecodeOptions()):
-    """Tag one sentence with the averaged weights; returns (tags, score)."""
+    """Tag one sentence with the averaged weights; returns (tags, score).
+    Raises DataError when the model's scores overflow, so that no untagged
+    token has a finite best score."""
     tags, score, _ = _decode(sentence, model, lexicon, rules, dopts, None)
     return tags, score
 
@@ -705,7 +766,14 @@ def _decode(sentence, model, lexicon, rules, dopts, trace):
                                    {q: cache[q][0] for q in sorted(cache)}))
         return cand_ids[p]
 
-    ids, score, order = _search(scorer, cand_ids, dopts.beam_size, choose)
+    # Model.load accepts every finite cell, but a sum of cells can still
+    # overflow.
+    try:
+        ids, score, order = _search(scorer, cand_ids, dopts.beam_size, choose)
+    except FloatingPointError:
+        raise DataError(f"the model's scores overflow on the sentence starting "
+                        f"{sentence.tokens[0].surface!r}: no untagged token has a "
+                        f"finite best score") from None
     return [model.inventory.tags[t] for t in ids], score, order
 
 
@@ -762,33 +830,44 @@ class _AveragedAccumulator:
 
     def __init__(self, T: int):
         self.T = T
+        self.sparse_cells = _sparse_cells(T)
         self.u: dict[int, float] = {}
         self.k = 0  # number of updates so far
 
-    def update(self, weights: dict[int, np.ndarray], fids, g: int, c: int, step: float):
+    def update(self, weights: dict, fids, g: int, c: int, step: float):
         """Update k + 1: add `step` to cell g and subtract it from cell c of
-        the raw row of each of the distinct `fids`, creating a missing row as
-        zeros, and credit u with the same two cells."""
-        T, u, credit = self.T, self.u, self.k * step
+        the raw row (see `_RawRows`) of each of the distinct `fids`, and
+        credit u with the same two cells.  A missing row is created as a
+        dict, or as zeros when `sparse_cells` is 0.  A dict row that then
+        holds more than `sparse_cells` cells is replaced in `weights`, at the
+        same place in its order, by the dense row of its cells.  Each cell
+        gets the float operations a dense row would."""
+        T, u, credit, most = self.T, self.u, self.k * step, self.sparse_cells
         for fid in fids:
             row = weights.get(fid)
             if row is None:
-                row = weights[fid] = np.zeros(T)
-            row[g] += step
-            row[c] -= step
+                row = weights[fid] = {} if most else np.zeros(T)
+            if most and type(row) is dict:
+                row[g] = row.get(g, 0.0) + step
+                row[c] = row.get(c, 0.0) - step
+                if len(row) > most:
+                    weights[fid] = _dense(row, T)
+            else:
+                row[g] += step
+                row[c] -= step
             key = fid * T
             u[key + g] = u.get(key + g, 0.0) + credit
             u[key + c] = u.get(key + c, 0.0) - credit
         self.k += 1
 
-    def finalize(self, weights: dict[int, np.ndarray]) -> SparseTable:
+    def finalize(self, weights: dict) -> SparseTable:
         """The averaged rows, w - u / k, as a SparseTable with a row for each
         raw row, in the raw table's order, holding its nonzero cells; no
         rows before the first update.
 
-        Every cell an update wrote has an entry in u, so the cells of u are
-        all that can be nonzero, and each is computed as the float
-        operations w - (u / k) on its own."""
+        Every cell an update wrote has an entry in u and in its raw row,
+        dict or dense, so the cells of u are all that can be nonzero, and
+        each is computed as the float operations w - (u / k) on its own."""
         T = self.T
         if self.k == 0:
             return SparseTable(T)
@@ -801,7 +880,7 @@ class _AveragedAccumulator:
         rows = rank[cell_fids]
         order = np.argsort(rows * T + tags)
         rows, tags, cell_fids = rows[order], tags[order], cell_fids[order]
-        raw = np.array([weights[fid].item(tag)
+        raw = np.array([row[tag] if type(row := weights[fid]) is dict else row.item(tag)
                         for fid, tag in zip(cell_fids.tolist(), tags.tolist())])
         cells = raw - credits[order] / self.k
         keep = cells != 0.0
@@ -842,6 +921,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
 
     model = Model(inventory, cfg, meta={"epochs": topts.epochs, "seed": topts.seed,
                                         "candidate_source": topts.candidate_source})
+    raw = model.weights.rows
     avg = _AveragedAccumulator(len(inventory))
     C, margin = topts.aggressiveness, topts.margin
     diverged = (f"training diverged: a score or weight is no longer finite; lower "
@@ -895,7 +975,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 # tau alone can be finite (C) when a score is not.
                 if not (math.isfinite(s_pred) and math.isfinite(s_gold) and math.isfinite(tau)):
                     raise ConfigError(diverged)
-                avg.update(model.weights, fids, gold[p], c, tau)
+                avg.update(raw, fids, gold[p], c, tau)
                 if update_log is not None:
                     vec2 = scorer.score_vector(fids)
                     update_log.append(UpdateRecord(
@@ -916,7 +996,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
             clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)
 
-    model.averaged = avg.finalize(model.weights)
+    model.averaged = avg.finalize(raw)
     # Model.load rejects such a cell, so the model would be written but
     # could not be read back.
     if not np.isfinite(model.averaged.cells).all():

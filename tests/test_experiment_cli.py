@@ -465,6 +465,20 @@ class TestCliTrainTag:
                      "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "x\tA\ny\tB\n\n"
 
+    def test_overflowing_model_exits_2(self, tmp_path, capsys):
+        """Every cell is finite, so the model loads, but the two rows of
+        token `a` sum to -inf at both tags: no tag has a finite score."""
+        corpus, model, out = tmp_path / "corpus.tsv", tmp_path / "model.json", tmp_path / "out.tsv"
+        corpus.write_text("a\n\n", encoding="utf-8")
+        model.write_text(json.dumps({**self.MODEL, "features": ["w0=a", "pre1=a"],
+                                     "offsets": [0, 2, 4], "tag_ids": [0, 1, 0, 1],
+                                     "values": _b64(*[-1e308] * 4)}), encoding="utf-8")
+        assert main(["tag", "--model", str(model), "--input", str(corpus),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the model's scores overflow") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("case, expected", [
         ("missing-model", 3),
         ("model-not-json", 2),

@@ -11,15 +11,21 @@ tagger's PA step and update guard, over raw rows keyed by feature string.
 It shares only `_lexicon_pass` and the feature templates with the tagger.
 """
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morphtag.tagger as tagger_mod
 from conftest import make_corpus
 from morphtag.corpus import Corpus, Sentence, Token
 from morphtag.features import FeatureConfig, tag_features, word_features
 from morphtag.lexicon import Lexicon
-from morphtag.synthetic import derive_safe_rules, synthetic_tags
+from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
+                                synthetic_tags)
 from morphtag.tagger import (CANDIDATE_SOURCES, DecodeOptions, TrainOptions,
                              _AveragedAccumulator, _lexicon_pass, decode_with_trace, train)
 from morphtag.tagset import TagInventory
@@ -232,3 +238,63 @@ class TestTrainingGuard:
             update=lambda rows, feats, g, c, step, T: ref_update(rows, feats, g, c, 0.0, T))
         assert updates == expected
         assert ref_accuracies == accuracies
+
+
+def trained(case, share: int):
+    """Training under `_SPARSE_SHARE = share`: (model, epoch accuracies, the
+    raw rows in order as (feature, bytes) pairs, the model file's bytes)."""
+    corpus, lexicon, rules, _, cfg, topts = case
+    with mock.patch.object(tagger_mod, "_SPARSE_SHARE", share), \
+            tempfile.TemporaryDirectory() as tmp:
+        model, accuracies = train(corpus, lexicon, rules, topts, cfg)
+        path = os.path.join(tmp, "model.json")
+        model.save(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    names = list(model.feature_ids)
+    raw = [(names[fid], row.tobytes()) for fid, row in model.weights.items()]
+    return model, accuracies, raw, data
+
+
+class TestSparseRows:
+    """Raw rows that stay `{tag id: value}` dicts until they hold more than
+    a few cells train exactly as rows that are dense from their creation,
+    and as the reference.  Below 128 tags every row is dense, so these
+    tests patch `_SPARSE_SHARE` to keep rows sparse."""
+
+    DENSE = 2 ** 40  # T // DENSE is 0: every row is dense from its creation
+
+    def check(self, case, share: int) -> dict:
+        """Assert the sparse run equals the dense run and the reference;
+        returns the sparse run's raw rows."""
+        corpus, lexicon, rules, _, cfg, topts = case
+        dense_model, *dense = trained(case, self.DENSE)
+        model, accuracies, raw, data = trained(case, share)
+        assert [accuracies, raw, data] == dense
+        assert model.meta == dense_model.meta
+        assert all(type(row) is not dict for row in dense_model.weights.rows.values())
+        rows, updates, ref_accuracies = ref_train(corpus, lexicon, rules, topts, cfg)
+        assert dict(raw) == {f: row.tobytes() for f, row in rows.items()}
+        assert model.meta["updates"] == updates
+        assert accuracies == model.meta["epoch_accuracy"] == ref_accuracies
+        return model.weights.rows
+
+    @settings(max_examples=25)
+    @given(cases(), st.integers(2, 4))
+    def test_random_corpora(self, case, cells):
+        """A dict row holds at most about `cells` cells."""
+        corpus, lexicon = case[:2]
+        T = len({tok.gold_tag for tok in corpus.tokens()} | lexicon.all_tags())
+        self.check(case, max(1, T // cells))
+
+    def test_dict_and_converted_rows(self):
+        cfg = SyntheticConfig(tag_count=30, vocab_size=60, sentence_count=20,
+                              ambiguity_rate=0.3)
+        corpus, lexicon = generate_synthetic(cfg, 5)
+        T = len(lexicon.all_tags() | {tok.gold_tag for tok in corpus.tokens()})
+        case = (corpus, lexicon, derive_safe_rules(corpus, lexicon), "all",
+                FeatureConfig(), TrainOptions(epochs=2))
+        rows = self.check(case, T // 3)  # a dict row holds at most 3 cells
+        kinds = [type(row) is dict for row in rows.values()]
+        assert any(kinds) and not all(kinds)
+        assert all(len(row) <= 3 for row in rows.values() if type(row) is dict)

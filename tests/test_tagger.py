@@ -219,6 +219,35 @@ class TestAveragedAccumulator:
         assert acc.finalize({0: np.ones(2)}) == {}
 
 
+class TestRawRows:
+    @pytest.mark.parametrize("tags, vocab", [(127, 400), (128, 1000)])
+    def test_weights_view(self, tags, vocab, tmp_path):
+        """`model.weights` reads every raw row, dict or dense, as a fresh
+        dense row in the raw table's order.  Below 128 tags every row is
+        dense; from 128 tags most rows stay dicts."""
+        corpus, lex = small_setup(sentences=10, tags=tags, vocab=vocab)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=1))
+        T, rows = len(model.inventory), model.weights.rows
+        assert T == tags
+        assert list(model.weights) == list(rows) and len(model.weights) == len(rows) > 0
+        dicts = sum(type(row) is dict for row in rows.values())
+        assert dicts > len(rows) / 2 if T >= 128 else dicts == 0
+        before = {fid: model.weights[fid].tobytes() for fid in rows}
+        for fid, row in rows.items():
+            read = model.weights[fid]
+            assert read.dtype == np.float64 and read.shape == (T,)
+            assert read is not model.weights[fid]
+            if type(row) is dict:
+                assert np.flatnonzero(read).tolist() == sorted(t for t, v in row.items() if v)
+                assert [read[t] for t in row] == list(row.values())
+            else:
+                assert read is not row and read.tobytes() == row.tobytes()
+            read += 1.0
+        assert {fid: model.weights[fid].tobytes() for fid in rows} == before
+        model.save(tmp_path / "model.json")
+        assert Model.load(tmp_path / "model.json").weights == {}
+
+
 class TestTopTags:
     """_top_tags returns the ids of argmax at beam 1 and of the stable
     argsort of -scores above it, and the scores of those cells."""
