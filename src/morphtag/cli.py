@@ -11,12 +11,13 @@ import sys
 from importlib import resources
 
 from . import baselines as bl
-from .corpus import read_text, read_vertical, stats, write_text, write_vertical
+from .corpus import (Corpus, Sentence, Token, read_text, read_vertical, stats, write_text,
+                     write_vertical)
 from .errors import ConfigError, DataError, FormatError, MorphtagError
 from .evaluation import audit_lexicon_exhaustiveness, evaluate
 from .experiment import format_results, parse_spec, run_experiment
 from .features import FeatureConfig
-from .lexicon import ambiguity_stats, load_lexicon
+from .lexicon import ambiguity_stats, dump_lexicon, load_lexicon
 from .lemmatizer import dump_rules, generate_rules, lemmatize
 from .rules import audit_precision, parse_rules
 from .synthetic import SyntheticConfig, generate_synthetic, split_corpus
@@ -75,7 +76,6 @@ def _cmd_tag(args):
         raise ConfigError("--hard-rules on requires --rules")
     dopts = DecodeOptions(beam_size=args.beam, candidate_source=args.candidates,
                           hard_output_rules=hard)
-    from .corpus import Corpus, Sentence, Token
     tagged = []
     for sent in corpus:
         tags, _ = decode(sent, model, lexicon, rules, dopts)
@@ -194,7 +194,6 @@ def _cmd_gen_synthetic(args):
         sentence_count=args.sentences, min_sentence_len=args.min_len,
         max_sentence_len=args.max_len, ambiguity_rate=args.ambiguity)
     corpus, lexicon = generate_synthetic(config, args.seed)
-    from .lexicon import dump_lexicon
     if args.split:
         try:
             fractions = tuple(float(x) for x in args.split.split(","))
@@ -305,10 +304,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except DataError as exc:
+    except (FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ConfigError as exc:

@@ -48,10 +48,10 @@ would leave it.  Raw weights drive training: a raw row is a
 `{tag id: value}` dict until it holds more than T // 64 cells, and a dense
 row after that, so at 680 tags most rows stay a few cells; below 128 tags
 every row is dense.  Decoding uses their average over all updates, which
-`_AveragedAccumulator` keeps per cell and emits as a `SparseTable`: the
-compressed sparse rows the model file stores, which a loaded model keeps as
-they are read.  No dense table of the raw or the averaged rows is built:
-decoding sums a sentence's static rows with one bincount and adds
+`_RawRows` keeps beside the rows, per cell, and emits as a `SparseTable`:
+the compressed sparse rows the model file stores, which a loaded model
+keeps as they are read.  No dense table of the raw or the averaged rows is
+built: decoding sums a sentence's static rows with one bincount and adds
 tag-context rows dense, from a bounded memo.
 
 The lexicon is read in one pass per sentence, which training, decoding and
@@ -125,9 +125,9 @@ class DecodeOptions:
 
 class Model:
     """Sparse linear weights over (feature, tag): the raw weights that
-    training updates, a `_RawRows`, and their average, which decoding
-    reads, a `SparseTable`.  `weights` reads each raw row as a fresh dense
-    row; training writes the rows it holds.
+    training updates, a `_RawRows`, which also keeps their average, and that
+    average, which decoding reads, a `SparseTable`.  `weights` reads each
+    raw row as a fresh dense row; training writes the rows it holds.
 
     The file (format 5) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
@@ -332,14 +332,6 @@ class SparseTable(Mapping):
         return sums.astype(np.float64, copy=False).reshape(n, T)
 
 
-def _sparse_cells(T: int) -> int:
-    """The most cells a raw training row of T cells holds as a dict, or 0
-    when every row is dense from its creation: a new row holds the two
-    cells of its first update at once."""
-    cells = T // _SPARSE_SHARE
-    return cells if cells >= 2 else 0
-
-
 def _dense(cells: dict[int, float], T: int) -> np.ndarray:
     """A dense row of T cells holding `cells` and +0.0 elsewhere."""
     row = np.zeros(T)
@@ -348,11 +340,24 @@ def _dense(cells: dict[int, float], T: int) -> np.ndarray:
 
 
 class _RawRows(Mapping):
-    """Training's raw weights.  `rows` maps a feature id to its row: a
-    `{tag id: value}` dict while the row holds at most `_sparse_cells(T)`
-    cells, and a dense float64 array of T cells after that; when that is 0
-    (below 128 tags) every row is dense.  A cell a dict does not hold is
-    +0.0.
+    """Training's raw weights and their average over all updates.
+
+    `rows` maps a feature id to its row: a `{tag id: value}` dict while the
+    row holds at most `sparse_cells` cells, and a dense float64 array of T
+    cells after that.  `sparse_cells` is T // 64, or 0 when that is below 2
+    (below 128 tags): a new row holds the two cells of its first update at
+    once, so then every row is dense from its creation.  A cell a dict does
+    not hold is +0.0.
+
+    The average is kept in the lazy per-cell form (Collins, EMNLP 2002;
+    Daumé III, PhD thesis, 2006).  If update j adds delta_j, the weights
+    after update i are w_i = delta_1 + ... + delta_i, and after k updates
+
+        (w_1 + ... + w_k) / k = w_k - u / k,  u = sum over j of (j - 1) delta_j,
+
+    since delta_j is in the k - j + 1 snapshots from w_j on.  A PA update
+    changes two cells per feature row, so u is a sparse map of cells, keyed
+    fid * T + tag.
 
     As a Mapping it reads feature id -> a fresh dense row, in the order the
     rows were created, so writing to a row read from it changes nothing.  A
@@ -360,7 +365,11 @@ class _RawRows(Mapping):
 
     def __init__(self, T: int):
         self.T = T
+        cells = T // _SPARSE_SHARE
+        self.sparse_cells = cells if cells >= 2 else 0
         self.rows: dict[int, dict[int, float] | np.ndarray] = {}
+        self.u: dict[int, float] = {}
+        self.k = 0  # number of updates so far
 
     def __getitem__(self, fid) -> np.ndarray:
         row = self.rows[fid]
@@ -371,6 +380,62 @@ class _RawRows(Mapping):
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def update(self, fids, g: int, c: int, step: float):
+        """Update k + 1: add `step` to cell g and subtract it from cell c of
+        the row of each of the distinct `fids`, and credit u with the same
+        two cells.  A missing row is created as a dict, or as zeros when
+        `sparse_cells` is 0.  A dict row that then holds more than
+        `sparse_cells` cells is replaced, at the same place in the rows'
+        order, by the dense row of its cells.  Each cell gets the float
+        operations a dense row would."""
+        T, rows, u, credit, most = self.T, self.rows, self.u, self.k * step, self.sparse_cells
+        for fid in fids:
+            row = rows.get(fid)
+            if row is None:
+                row = rows[fid] = {} if most else np.zeros(T)
+            if most and type(row) is dict:
+                row[g] = row.get(g, 0.0) + step
+                row[c] = row.get(c, 0.0) - step
+                if len(row) > most:
+                    rows[fid] = _dense(row, T)
+            else:
+                row[g] += step
+                row[c] -= step
+            key = fid * T
+            u[key + g] = u.get(key + g, 0.0) + credit
+            u[key + c] = u.get(key + c, 0.0) - credit
+        self.k += 1
+
+    def finalize(self) -> SparseTable:
+        """The averaged rows, w - u / k, as a SparseTable with a row for each
+        raw row, in the rows' order, holding its nonzero cells; no rows
+        before the first update.  The credits u are released: the raw rows
+        and k stay, but the average cannot be extended.
+
+        Every cell an update wrote has an entry in u and in its raw row,
+        dict or dense, so the cells of u are all that can be nonzero, and
+        each is computed as the float operations w - (u / k) on its own."""
+        T, weights = self.T, self.rows
+        u, self.u = self.u, {}
+        if self.k == 0:
+            return SparseTable(T)
+        fids = np.fromiter(weights, np.int64, len(weights))
+        rank = np.empty(int(fids.max()) + 1, dtype=np.int64)
+        rank[fids] = np.arange(len(fids))
+        keys = np.fromiter(u, np.int64, len(u))
+        credits = np.fromiter(u.values(), np.float64, len(u))
+        cell_fids, tags = np.divmod(keys, T)
+        rows = rank[cell_fids]
+        order = np.argsort(rows * T + tags)
+        rows, tags, cell_fids = rows[order], tags[order], cell_fids[order]
+        raw = np.array([row[tag] if type(row := weights[fid]) is dict else row.item(tag)
+                        for fid, tag in zip(cell_fids.tolist(), tags.tolist())])
+        cells = raw - credits[order] / self.k
+        keep = cells != 0.0
+        counts = np.bincount(rows[keep], minlength=len(fids))
+        return SparseTable(T, fids, np.concatenate(([0], np.cumsum(counts))), tags[keep],
+                           cells[keep])
 
 
 class _DenseRows(dict):
@@ -409,10 +474,12 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     token enters the cascade as the full inventory and suggests None.  Each
     distinct cascade runs once.  Lexicon tags outside the inventory are
     dropped from the candidates, and a position left with none falls back
-    to the full inventory.
+    to the full inventory.  Every full-inventory candidate list that the
+    cascade left as it was, or that falls back, is the inventory's shared
+    `ids` list, which no caller mutates.
     """
     n = len(sentence.tokens)
-    all_ids = list(range(len(inventory)))
+    all_ids = inventory.ids
     if hard_rules is not None:
         source, cand_rules = "lexicon+rules", hard_rules
     else:
@@ -445,7 +512,8 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     cand_ids = [all_ids] * n
     if want_cands:
         index = inventory.index
-        cand_ids = [sorted(index[t] for t in tags if t in index) or all_ids
+        cand_ids = [all_ids if tags is full else
+                    sorted(index[t] for t in tags if t in index) or all_ids
                     for tags in filtered(cand_rules)]
     suggested = [None] * n
     if want_suggested:
@@ -484,7 +552,7 @@ class _SentenceScorer:
         self.words = words
         self.training = training
         self.T = len(model.inventory)
-        self.sparse = training and _sparse_cells(self.T) > 0  # can a row be a dict?
+        self.sparse = training and model.weights.sparse_cells > 0  # can a row be a dict?
         self.static_ids = [self._intern(word_features(words, i, model.cfg, suggested[i]))
                            for i in range(len(words))]
         self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
@@ -803,103 +871,15 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
 
 # Training ----------------------------------------------------------------
 
-@dataclass
-class UpdateRecord:
-    """One passive-aggressive update, for post-condition audits."""
-
-    position: int
-    gold_id: int
-    predicted_id: int
-    tau: float
-    capped: bool
-    margin_after: float
-
-
-class _AveragedAccumulator:
-    """The average of the raw weights after each update, in the lazy
-    per-cell form (Collins, EMNLP 2002; Daumé III, PhD thesis, 2006).
-
-    If update j adds delta_j, the weights after update i are w_i = delta_1
-    + ... + delta_i, and after k updates
-
-        (w_1 + ... + w_k) / k = w_k - u / k,  u = sum over j of (j - 1) delta_j,
-
-    since delta_j is in the k - j + 1 snapshots from w_j on.  A PA update
-    changes two cells per feature row, so u is a sparse map of cells, keyed
-    fid * T + tag."""
-
-    def __init__(self, T: int):
-        self.T = T
-        self.sparse_cells = _sparse_cells(T)
-        self.u: dict[int, float] = {}
-        self.k = 0  # number of updates so far
-
-    def update(self, weights: dict, fids, g: int, c: int, step: float):
-        """Update k + 1: add `step` to cell g and subtract it from cell c of
-        the raw row (see `_RawRows`) of each of the distinct `fids`, and
-        credit u with the same two cells.  A missing row is created as a
-        dict, or as zeros when `sparse_cells` is 0.  A dict row that then
-        holds more than `sparse_cells` cells is replaced in `weights`, at the
-        same place in its order, by the dense row of its cells.  Each cell
-        gets the float operations a dense row would."""
-        T, u, credit, most = self.T, self.u, self.k * step, self.sparse_cells
-        for fid in fids:
-            row = weights.get(fid)
-            if row is None:
-                row = weights[fid] = {} if most else np.zeros(T)
-            if most and type(row) is dict:
-                row[g] = row.get(g, 0.0) + step
-                row[c] = row.get(c, 0.0) - step
-                if len(row) > most:
-                    weights[fid] = _dense(row, T)
-            else:
-                row[g] += step
-                row[c] -= step
-            key = fid * T
-            u[key + g] = u.get(key + g, 0.0) + credit
-            u[key + c] = u.get(key + c, 0.0) - credit
-        self.k += 1
-
-    def finalize(self, weights: dict) -> SparseTable:
-        """The averaged rows, w - u / k, as a SparseTable with a row for each
-        raw row, in the raw table's order, holding its nonzero cells; no
-        rows before the first update.
-
-        Every cell an update wrote has an entry in u and in its raw row,
-        dict or dense, so the cells of u are all that can be nonzero, and
-        each is computed as the float operations w - (u / k) on its own."""
-        T = self.T
-        if self.k == 0:
-            return SparseTable(T)
-        fids = np.fromiter(weights, np.int64, len(weights))
-        rank = np.empty(int(fids.max()) + 1, dtype=np.int64)
-        rank[fids] = np.arange(len(fids))
-        keys = np.fromiter(self.u, np.int64, len(self.u))
-        credits = np.fromiter(self.u.values(), np.float64, len(self.u))
-        cell_fids, tags = np.divmod(keys, T)
-        rows = rank[cell_fids]
-        order = np.argsort(rows * T + tags)
-        rows, tags, cell_fids = rows[order], tags[order], cell_fids[order]
-        raw = np.array([row[tag] if type(row := weights[fid]) is dict else row.item(tag)
-                        for fid, tag in zip(cell_fids.tolist(), tags.tolist())])
-        cells = raw - credits[order] / self.k
-        keep = cells != 0.0
-        counts = np.bincount(rows[keep], minlength=len(fids))
-        return SparseTable(T, fids, np.concatenate(([0], np.cumsum(counts))), tags[keep],
-                           cells[keep])
-
-
 def train(corpus: Corpus, lexicon: Lexicon | None = None,
           rules: RuleCascade | None = None,
           topts: TrainOptions = TrainOptions(),
-          cfg: FeatureConfig = FeatureConfig(),
-          update_log: list | None = None):
+          cfg: FeatureConfig = FeatureConfig()):
     """Train a model; returns (model, per-epoch training accuracies).
 
     The inventory is all tags in the corpus plus all lexicon tags, sorted.
     The model records `cfg` and trains under `cfg.for_training()`: a
-    "test-only" lexicon filter trains on unfiltered suggestions.  Pass
-    `update_log` to capture every PA update for audits.
+    "test-only" lexicon filter trains on unfiltered suggestions.
 
     Training that diverges raises ConfigError naming `aggressiveness` and
     `margin`: as soon as a PA update meets a score or step that is not
@@ -921,8 +901,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
 
     model = Model(inventory, cfg, meta={"epochs": topts.epochs, "seed": topts.seed,
                                         "candidate_source": topts.candidate_source})
-    raw = model.weights.rows
-    avg = _AveragedAccumulator(len(inventory))
+    weights = model.weights
     C, margin = topts.aggressiveness, topts.margin
     diverged = (f"training diverged: a score or weight is no longer finite; lower "
                 f"aggressiveness (now {C}) or margin (now {margin})")
@@ -975,12 +954,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 # tau alone can be finite (C) when a score is not.
                 if not (math.isfinite(s_pred) and math.isfinite(s_gold) and math.isfinite(tau)):
                     raise ConfigError(diverged)
-                avg.update(raw, fids, gold[p], c, tau)
-                if update_log is not None:
-                    vec2 = scorer.score_vector(fids)
-                    update_log.append(UpdateRecord(
-                        p, gold[p], c, tau, tau >= C,
-                        float(vec2[gold[p]] - vec2[c])))
+                weights.update(fids, gold[p], c, tau)
                 # The update changed only columns gold[p] and c.
                 _refresh(scorer, cache, sent_cands[i], gold[p], c)
                 return None
@@ -996,11 +970,11 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
             clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)
 
-    model.averaged = avg.finalize(raw)
+    model.averaged = weights.finalize()
     # Model.load rejects such a cell, so the model would be written but
     # could not be read back.
     if not np.isfinite(model.averaged.cells).all():
         raise ConfigError(diverged)
-    model.meta["updates"] = avg.k
+    model.meta["updates"] = weights.k
     model.meta["epoch_accuracy"] = epoch_accuracy
     return model, epoch_accuracy

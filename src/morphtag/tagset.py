@@ -179,7 +179,9 @@ def parse_schema(text: str, path=None) -> TagSchema:
 
 
 class TagInventory:
-    """Ordered tag set with a dense-id bijection (ids contiguous from 0)."""
+    """Ordered tag set with a dense-id bijection (ids contiguous from 0).
+    `ids` is the list of every id, built once and shared by every caller,
+    which never mutates it."""
 
     def __init__(self, tags):
         self.tags: list[str] = []
@@ -193,6 +195,7 @@ class TagInventory:
             self.tags.append(tag)
         if not self.tags:
             raise ValueError("empty tag inventory")
+        self.ids = list(range(len(self.tags)))
 
     def __len__(self):
         return len(self.tags)

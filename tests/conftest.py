@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from morphtag.corpus import Corpus, Sentence, Token
+from morphtag.tagger import _RawRows
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -80,3 +84,30 @@ def make_lexicon(mapping):
     """mapping: surface -> iterable of tags, or surface -> dict tag->lemma."""
     return Lexicon({surface: dict(tags) if isinstance(tags, dict) else dict.fromkeys(tags)
                     for surface, tags in mapping.items()})
+
+
+@dataclass(frozen=True)
+class Update:
+    """One passive-aggressive update: gold and predicted tag ids, the step
+    tau, and the gold minus the predicted score of the updated features'
+    rows right after it."""
+
+    gold_id: int
+    predicted_id: int
+    tau: float
+    margin_after: float
+
+
+@pytest.fixture
+def update_log(monkeypatch):
+    """A list that receives an `Update` for every PA update that `train`
+    makes while the test runs."""
+    log = []
+    update = _RawRows.update
+
+    def recording(self, fids, g, c, step):
+        update(self, fids, g, c, step)
+        scores = sum((self[fid] for fid in fids), np.zeros(self.T))
+        log.append(Update(g, c, step, float(scores[g] - scores[c])))
+    monkeypatch.setattr(_RawRows, "update", recording)
+    return log

@@ -26,9 +26,8 @@ from morphtag.rules import apply_cascade, audit_precision, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules,
                                 generate_lemma_lexicon, generate_synthetic,
                                 split_corpus)
-from morphtag.tagger import (DecodeOptions, TrainOptions,
-                             _AveragedAccumulator, decode, decode_with_trace,
-                             train)
+from morphtag.tagger import (DecodeOptions, TrainOptions, _RawRows, decode,
+                             decode_with_trace, train)
 
 # ---------------------------------------------------------------------------
 # Shared expensive fixtures
@@ -232,19 +231,17 @@ def test_criterion_05_rule_engine():
     assert forward != backward
 
 
-def test_criterion_06_guided_learner_sanity(learner_corpus):
+def test_criterion_06_guided_learner_sanity(learner_corpus, update_log):
     corpus, lexicon = learner_corpus
     assert sum(len(s) for s in corpus.sentences) >= 5000
-    log = []
-    model, acc = train(corpus, lexicon, topts=TrainOptions(epochs=20),
-                       update_log=log)
+    model, acc = train(corpus, lexicon, topts=TrainOptions(epochs=20))
     assert max(acc) >= 0.995
 
     # passive-aggressive post-condition on every logged update
     topts = TrainOptions()
-    for rec in log:
+    for rec in update_log:
         assert 0.0 < rec.tau <= topts.aggressiveness + 1e-12
-        if not rec.capped:
+        if rec.tau < topts.aggressiveness:
             assert rec.margin_after >= topts.margin - 1e-9
 
     # bit-reproducible training and decoding under a fixed seed
@@ -322,12 +319,12 @@ def test_criterion_09_chi_squared():
 def test_criterion_10_averaged_perceptron_oracle(monkeypatch):
     snapshots = []
 
-    class Recording(_AveragedAccumulator):
-        def update(self, weights, fids, g, c, step):
-            super().update(weights, fids, g, c, step)
-            snapshots.append({f: r.copy() for f, r in weights.items()})
+    class Recording(_RawRows):
+        def update(self, fids, g, c, step):
+            super().update(fids, g, c, step)
+            snapshots.append(dict(self.items()))
 
-    monkeypatch.setattr(tagger_mod, "_AveragedAccumulator", Recording)
+    monkeypatch.setattr(tagger_mod, "_RawRows", Recording)
     cfg = SyntheticConfig(tag_count=6, vocab_size=30, sentence_count=12,
                           ambiguity_rate=0.3)
     corpus, lexicon = generate_synthetic(cfg, 4)

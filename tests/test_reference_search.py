@@ -26,8 +26,8 @@ from morphtag.features import FeatureConfig, tag_features, word_features
 from morphtag.lexicon import Lexicon
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 synthetic_tags)
-from morphtag.tagger import (CANDIDATE_SOURCES, DecodeOptions, TrainOptions,
-                             _AveragedAccumulator, _lexicon_pass, decode_with_trace, train)
+from morphtag.tagger import (CANDIDATE_SOURCES, DecodeOptions, TrainOptions, _RawRows,
+                             _lexicon_pass, decode_with_trace, train)
 from morphtag.tagset import TagInventory
 
 
@@ -220,15 +220,15 @@ class TestTrainingGuard:
                              ["c/B", "c/C", "b/A", "a/A"], ["a/C", "b/B", "c/B", "b/A", "a/C"])
         expected = sum(51 + 10 * len(s.tokens) for s in corpus)
         assert expected == 364
-        update = _AveragedAccumulator.update
+        update = _RawRows.update
         calls = 0
 
-        def zero_step(self, weights, fids, g, c, step):
+        def zero_step(self, fids, g, c, step):
             nonlocal calls
             calls += 1
             assert calls <= expected, "training did not stop at the guard"
-            update(self, weights, fids, g, c, 0.0)
-        monkeypatch.setattr(_AveragedAccumulator, "update", zero_step)
+            update(self, fids, g, c, 0.0)
+        monkeypatch.setattr(_RawRows, "update", zero_step)
         cfg = FeatureConfig(use_lexicon_features=False)
         model, accuracies = train(corpus, topts=TrainOptions(epochs=1), cfg=cfg)
         assert model.meta["updates"] == calls == expected

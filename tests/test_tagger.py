@@ -22,9 +22,9 @@ from morphtag import rules as rules_mod, tagger as tagger_mod
 from morphtag.rules import RuleCascade, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_synthetic,
                                 split_corpus)
-from morphtag.tagger import (DecodeOptions, Model, SparseTable, TrainOptions,
-                             _AveragedAccumulator, _lexicon_pass, _top_tags, decode,
-                             decode_with_trace, rescore, train)
+from morphtag.tagger import (DecodeOptions, Model, SparseTable, TrainOptions, _RawRows,
+                             _lexicon_pass, _top_tags, decode, decode_with_trace, rescore,
+                             train)
 from morphtag.tagset import TagInventory
 
 
@@ -131,24 +131,22 @@ class TestTraining:
             train(corpus, lex, topts=TrainOptions(candidate_source="lexicon"))
         assert "а" in str(exc.value)
 
-    def test_pa_postcondition(self):
+    def test_pa_postcondition(self, update_log):
         corpus, lex = small_setup(sentences=20)
         topts = TrainOptions(epochs=2, aggressiveness=0.5, margin=1.0)
-        log = []
-        train(corpus, lex, topts=topts, update_log=log)
-        assert log
-        assert any(not r.capped for r in log)
-        for rec in log:
+        train(corpus, lex, topts=topts)
+        assert update_log
+        assert any(r.tau < topts.aggressiveness for r in update_log)
+        for rec in update_log:
             assert 0.0 < rec.tau <= topts.aggressiveness + 1e-12
-            if not rec.capped:
+            if rec.tau < topts.aggressiveness:
                 assert rec.margin_after >= topts.margin - 1e-9
 
-    def test_update_promotes_gold(self):
+    def test_update_promotes_gold(self, update_log):
         corpus = make_corpus(["а/X", "а/Y"])
-        log = []
         train(corpus, topts=TrainOptions(epochs=1),
-              cfg=FeatureConfig(use_lexicon_features=False), update_log=log)
-        for rec in log:
+              cfg=FeatureConfig(use_lexicon_features=False))
+        for rec in update_log:
             assert rec.gold_id != rec.predicted_id
 
 
@@ -158,19 +156,18 @@ class TestDivergence:
     returning a model that Model.load would reject."""
 
     @staticmethod
-    def _train(seed, sentences, **kwargs):
+    def _train(seed, sentences):
         corpus, _ = small_setup(seed=seed, sentences=sentences, tags=6, vocab=30)
         return train(corpus, topts=TrainOptions(epochs=2, aggressiveness=math.inf, margin=1e308),
-                     cfg=FeatureConfig(use_lexicon_features=False), **kwargs)
+                     cfg=FeatureConfig(use_lexicon_features=False))
 
-    def test_update_meets_a_non_finite_score(self):
+    def test_update_meets_a_non_finite_score(self, update_log):
         # Unchecked, the NaN scores leave no best action, and the search
         # indexes an empty one.
-        log = []
         with pytest.raises(ConfigError, match="aggressiveness .* margin"):
-            self._train(1, 10, update_log=log)
-        assert log
-        assert all(math.isfinite(rec.tau) for rec in log)
+            self._train(1, 10)
+        assert update_log
+        assert all(math.isfinite(rec.tau) for rec in update_log)
 
     def test_averaged_cell_not_finite(self):
         # Every update's scores and step are finite, but an averaged cell
@@ -181,10 +178,9 @@ class TestDivergence:
     def test_no_finite_best_score(self, monkeypatch):
         # A NaN step turns both columns of the position's rows NaN, so the
         # one position of the sentence has no finite best score left.
-        update = _AveragedAccumulator.update
-        monkeypatch.setattr(_AveragedAccumulator, "update",
-                            lambda self, w, fids, g, c, step: update(self, w, fids, g, c,
-                                                                     math.nan))
+        update = _RawRows.update
+        monkeypatch.setattr(_RawRows, "update",
+                            lambda self, fids, g, c, step: update(self, fids, g, c, math.nan))
         corpus = make_corpus(["а/Y"], ["б/X"])
         with pytest.raises(ConfigError, match="aggressiveness .* margin"):
             train(corpus, topts=TrainOptions(epochs=1),
@@ -200,14 +196,13 @@ class TestAveragedAccumulator:
         rng = random.Random(seed)
         T = 3
         fids = list(range(5))
-        weights = {}
-        acc = _AveragedAccumulator(T)
+        weights = _RawRows(T)
         snapshots = []
         for _ in range(rng.randint(1, 200)):
             g, c = rng.sample(range(T), 2)
-            acc.update(weights, rng.sample(fids, rng.randint(1, 3)), g, c, rng.uniform(0, 1))
-            snapshots.append({f: w.copy() for f, w in weights.items()})
-        averaged = acc.finalize(weights)
+            weights.update(rng.sample(fids, rng.randint(1, 3)), g, c, rng.uniform(0, 1))
+            snapshots.append(dict(weights.items()))
+        averaged = weights.finalize()
         k = len(snapshots)
         assert set(averaged) == set(weights)
         for fid, row in weights.items():
@@ -215,8 +210,9 @@ class TestAveragedAccumulator:
             assert np.allclose(averaged[fid], expect, atol=1e-9)
 
     def test_no_updates_empty(self):
-        acc = _AveragedAccumulator(2)
-        assert acc.finalize({0: np.ones(2)}) == {}
+        weights = _RawRows(2)
+        weights.rows[0] = np.ones(2)
+        assert weights.finalize() == {}
 
 
 class TestRawRows:
@@ -244,6 +240,8 @@ class TestRawRows:
                 assert read is not row and read.tobytes() == row.tobytes()
             read += 1.0
         assert {fid: model.weights[fid].tobytes() for fid in rows} == before
+        # Averaging released its credits; the count of updates stays.
+        assert model.weights.u == {} and model.weights.k == model.meta["updates"] > 0
         model.save(tmp_path / "model.json")
         assert Model.load(tmp_path / "model.json").weights == {}
 
@@ -502,6 +500,17 @@ class TestLexiconPass:
         cands, _ = _lexicon_pass(sent("х"), self.INVENTORY, self.lexicon(), None,
                                  FeatureConfig(), "lexicon")
         assert cands == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("source", ["all", "lexicon"])
+    def test_full_inventory_list_is_shared(self, source):
+        """Every full-inventory candidate list of one inventory is the same
+        list, so training holds one per inventory, not one per sentence."""
+        lex = self.lexicon()
+        first, _ = _lexicon_pass(sent("х", "да"), self.INVENTORY, lex, None,
+                                 FeatureConfig(), source)
+        second, _ = _lexicon_pass(sent("х"), self.INVENTORY, lex, None, FeatureConfig(), source)
+        assert first[0] is second[0] is self.INVENTORY.ids
+        assert second[0] == list(range(len(self.INVENTORY)))
 
     def test_one_lookup_and_cascade_run_per_sentence(self, monkeypatch):
         corpus, lex = small_setup(seed=5, sentences=12, tags=8, vocab=40)
