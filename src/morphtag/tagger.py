@@ -11,10 +11,12 @@ run of committed positions (offset -2 counts only when -1 is committed
 too), which keeps every hypothesis' score exactly replayable from its
 commit order.  It also means a commit is seen only by the two untagged
 positions just outside the new span: the search caches every other
-position's best action and score vectors, and rescores only those two.  A
-score vector is the sum of the position's static (surface and lexicon)
+position's best action and score vectors, and enters only those two again.
+A score vector is the sum of the position's static (surface and lexicon)
 weight rows, built once per search, plus the rows of its tag-context
-features.
+features.  A search scores each visible context of a position once:
+hypothesis pairs that see the same neighbour tags share one vector, and so
+does a re-entered position that sees the tags its previous entry saw.
 
 Ties are broken the same way everywhere: a position's best tag is the
 lowest tag id among its highest scores, the earliest position wins among
@@ -476,7 +478,8 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     dropped from the candidates, and a position left with none falls back
     to the full inventory.  Every full-inventory candidate list that the
     cascade left as it was, or that falls back, is the inventory's shared
-    `ids` list, which no caller mutates.
+    `ids` list, and every out-of-lexicon set the cascade reads is its shared
+    `tag_set`; no caller mutates either.
     """
     n = len(sentence.tokens)
     all_ids = inventory.ids
@@ -498,7 +501,7 @@ def _lexicon_pass(sentence: Sentence, inventory: TagInventory,
     if not (want_cands or want_suggested):
         return [all_ids] * n, [None] * n
     lookups = [lexicon.tags(tok.surface) for tok in sentence.tokens]
-    full = frozenset(inventory.tags)
+    full = inventory.tag_set
     sets = [full if tags is None else tags for tags in lookups]
     runs = {}  # id(cascade) -> its output
 
@@ -707,7 +710,13 @@ def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
     later `score` of the position copies its static sum, so the staleness
     reaches only vectors read at those same candidates; the position an
     update was made at holds both columns and is always refreshed.  Every
-    other position gets the entry a full rescore would give it."""
+    other position gets the entry a full rescore would give it.
+
+    The search's maps of scored contexts (see `_search`) hold only vectors
+    of cached entries when an update runs, since every untagged position
+    has just been entered, so this refreshes every vector that a later
+    entry of the same position may reuse, and a reused vector is exact at
+    every column the search reads."""
     T = scorer.T
     for q, e in cache.items():
         ids = cand_ids[q]
@@ -727,30 +736,71 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     at p, or None to repeat the step, after bringing the cache up to date.
     A step at which no untagged position has a finite best score raises
     FloatingPointError.
+
+    A pair's visible context is the last one or two tags of its left
+    hypothesis and the first one or two of its right one.  Hypotheses of one
+    span often share them, and a position entered again after a commit at
+    the far end of a span next to it often sees the tags it saw before.  So
+    a position entered next to a span keeps a map of its entry: how many
+    tags it sees on each side, and the `(score vector, tag-context feature
+    ids)` that `score` gave each visible context of its pairs.  An entry
+    scores only the contexts that neither it nor the position's previous
+    entry at the same offsets scored.  No context is scored twice in a
+    search: while the offsets stay, a span next to the position grows only
+    away from it, and each new hypothesis keeps the near tags of an old one,
+    so a context that leaves an entry never comes back.  A first entry sees
+    no tags, a context that never comes back either, and keeps no map; a
+    committed position's map is dropped.  The maps hold references to the
+    vectors of cache entries, not copies: when choose runs, every untagged
+    position has just been entered, so every mapped vector belongs to a
+    cached entry, and `_refresh` keeps it exact at every column the search
+    reads.
     """
-    n = len(scorer.words)
+    n, T = len(scorer.words), scorer.T
     span_at: list[_Span | None] = [None] * n  # written at span edges only
     untagged = list(range(n))
     cache: dict[int, tuple] = {}
+    scored: dict[int, tuple] = {}  # position -> ((nl, nr), {visible tags: score result})
     order: list[int] = []
 
     def entry(p):
         left = span_at[p - 1] if p > 0 else None
         right = span_at[p + 1] if p < n - 1 else None
+        if left is None and right is None:
+            return _entry([(None, None) + scorer.score(p, {})], cand_ids[p], T)
+        # How many tags each side shows: offset -2 (+2) only through -1 (+1).
+        nl = 0 if left is None else 2 if p - 2 >= left.start else 1
+        nr = 0 if right is None else 2 if p + 2 <= right.end else 1
+        # The tags of p - nl .. p - 1 and p + 1 .. p + nr, in that order,
+        # name a context of shape (nl, nr); a map of another shape holds
+        # contexts at other offsets, which this entry cannot use.
+        kept = scored.get(p)
+        before = kept[1] if kept and kept[0] == (nl, nr) else {}
+        seen = {}
+        scored[p] = (nl, nr), seen
         pairs = []
         for lh in (left.hyps if left else [None]):
+            lt = lh[1][-nl:] if lh else ()
             for rh in (right.hyps if right else [None]):
-                visible = {}
-                if lh is not None:
-                    visible[p - 1] = lh[1][-1]
-                    if p - 2 >= left.start:
-                        visible[p - 2] = lh[1][-2]
-                if rh is not None:
-                    visible[p + 1] = rh[1][0]
-                    if p + 2 <= right.end:
-                        visible[p + 2] = rh[1][1]
-                pairs.append((lh, rh) + scorer.score(p, visible))
-        return _entry(pairs, cand_ids[p], scorer.T)
+                rt = rh[1][:nr] if rh else ()
+                key = lt + rt
+                result = seen.get(key)
+                if result is None:
+                    result = before.get(key)
+                    if result is None:
+                        visible = {}
+                        if nl:
+                            visible[p - 1] = lt[-1]
+                            if nl == 2:
+                                visible[p - 2] = lt[0]
+                        if nr:
+                            visible[p + 1] = rt[0]
+                            if nr == 2:
+                                visible[p + 2] = rt[1]
+                        result = scorer.score(p, visible)
+                    seen[key] = result
+                pairs.append((lh, rh) + result)
+        return _entry(pairs, cand_ids[p], T)
 
     while untagged:
         p, top = None, (-np.inf,)
@@ -774,7 +824,7 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
             base = (lh[0] if lh else 0.0) + (rh[0] if rh else 0.0)
             ltags = lh[1] if lh else ()
             rtags = rh[1] if rh else ()
-            if len(keep) == scorer.T:
+            if len(keep) == T:
                 # The same float sums as the loop below, in a fresh array
                 # that _top_tags may overwrite.
                 for s, c in _top_tags(base + vec, beam):
@@ -790,9 +840,12 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         span_at[span.start] = span_at[span.end] = span
         untagged.remove(p)
         order.append(p)
+        scored.pop(p, None)
         # Context is seen only through a contiguous committed run, so only
-        # the positions next to the span can see it.  They are rescored even
-        # at beam 1: their cached pairs hold the span's old hypotheses.
+        # the positions next to the span can see it.  They are entered again,
+        # since their cached pairs hold the span's old hypotheses; their maps
+        # let the new entries share the vectors of contexts that did not
+        # change.
         for q in (p, span.start - 1, span.end + 1):
             cache.pop(q, None)
     final = span_at[0]

@@ -180,8 +180,8 @@ def parse_schema(text: str, path=None) -> TagSchema:
 
 class TagInventory:
     """Ordered tag set with a dense-id bijection (ids contiguous from 0).
-    `ids` is the list of every id, built once and shared by every caller,
-    which never mutates it."""
+    `ids` is the list of every id and `tag_set` the frozenset of every tag,
+    each built once and shared by every caller, which never mutates it."""
 
     def __init__(self, tags):
         self.tags: list[str] = []
@@ -196,6 +196,7 @@ class TagInventory:
         if not self.tags:
             raise ValueError("empty tag inventory")
         self.ids = list(range(len(self.tags)))
+        self.tag_set = frozenset(self.tags)
 
     def __len__(self):
         return len(self.tags)

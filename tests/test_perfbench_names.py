@@ -89,11 +89,13 @@ def test_rule_path_layers_are_called(monkeypatch):
 
 
 def test_scoring_counts(monkeypatch):
-    """perfbench counts scorings by `features.tag` calls.  Decoding makes
-    exactly as many as when every scoring summed all of its rows (recorded
-    before the per-position static sums).  Training makes fewer than when
-    every update rescored the sentence (453 here): about decoding's rate,
-    since an update patches two columns of the cache instead."""
+    """perfbench counts scorings by `features.tag` calls.  Decoding scores
+    each visible context of a position once per search: hypothesis pairs
+    that see the same tags, and a re-entered position that sees the tags its
+    previous entry saw, share one score vector (162 and 266 calls when every
+    pair of every entry was scored).  Training makes fewer than when every
+    update rescored the sentence (453 here): about decoding's rate, since an
+    update patches two columns of the cache instead."""
     corpus, lexicon = generate_synthetic(
         SyntheticConfig(tag_count=6, vocab_size=30, sentence_count=10), 1)
     cascade = derive_safe_rules(corpus, lexicon)
@@ -111,7 +113,7 @@ def test_scoring_counts(monkeypatch):
                               DecodeOptions(beam_size=beam, candidate_source="lexicon+rules",
                                             hard_output_rules=cascade))
         decode_calls[beam] = tracer.calls["features.tag"]
-    assert decode_calls == {1: 162, 3: 266}
+    assert decode_calls == {1: 151, 3: 217}
     assert model.meta["updates"] == 17
     assert train_calls < 453
     # Per training token (two epochs): at most beam-1 decoding's rate plus

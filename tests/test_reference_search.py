@@ -195,7 +195,7 @@ class TestAgainstReference:
         assert accuracies == model.meta["epoch_accuracy"] == ref_accuracies
         averaged = {f: row for f, fid in model.feature_ids.items()
                     if (row := model.averaged.get(fid)) is not None}
-        for beam in (1, 2, 3):
+        for beam in (1, 2, 3, 5):
             for hard in (None, rules):
                 dopts = DecodeOptions(beam_size=beam, candidate_source=source,
                                       hard_output_rules=hard)

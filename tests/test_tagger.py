@@ -6,6 +6,7 @@ import random
 import re
 import tempfile
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_lexicon
 from morphtag.corpus import Corpus, Sentence, Token
 from morphtag.errors import ConfigError, DataError
-from morphtag.features import FeatureConfig
+from morphtag.features import FeatureConfig, tag_features
 from morphtag.lexicon import Lexicon
 from morphtag import rules as rules_mod, tagger as tagger_mod
 from morphtag.rules import RuleCascade, parse_rules
@@ -512,6 +513,23 @@ class TestLexiconPass:
         assert first[0] is second[0] is self.INVENTORY.ids
         assert second[0] == list(range(len(self.INVENTORY)))
 
+    def test_full_tag_set_is_shared(self, monkeypatch):
+        """Out-of-lexicon tokens of every sentence enter the cascade as the
+        inventory's one tag set, not a set built per sentence."""
+        full_sets = []
+        cascade = tagger_mod.apply_cascade
+
+        def recording(rules, sentence, sets):
+            full_sets.extend(tags for tags in sets if len(tags) == len(self.INVENTORY))
+            return cascade(rules, sentence, sets)
+        monkeypatch.setattr(tagger_mod, "apply_cascade", recording)
+        for s in (sent("х", "да"), sent("у")):
+            _lexicon_pass(s, self.INVENTORY, self.lexicon(), self.SOFT, FeatureConfig(),
+                          "lexicon+rules")
+        first, second = full_sets
+        assert first is second is self.INVENTORY.tag_set
+        assert first == frozenset(self.INVENTORY.tags)
+
     def test_one_lookup_and_cascade_run_per_sentence(self, monkeypatch):
         corpus, lex = small_setup(seed=5, sentences=12, tags=8, vocab=40)
         cascade = derive_safe_rules(corpus, lex)
@@ -544,28 +562,60 @@ class TestLexiconPass:
 
 class TestScoreCacheExact:
     """Every score vector the search holds equals the sum of all its weight
-    rows from +0.0, byte for byte, at every column the search reads.
-    Decoding adds the tag-context rows to each position's static sum and
-    reads every column.  Training sums the two columns an update changes
-    again instead of rescoring, only at the positions that can read one of
-    them, and rebuilds the static sums for every search: a skipped position
-    stays exact at its candidates, but not at the columns outside them."""
+    rows from +0.0, byte for byte, at every column the search reads, and its
+    tag-context ids are those of the pair that reads it.  Decoding adds the
+    tag-context rows to each position's static sum and reads every column.
+    Pairs that see the same tags share one vector, and a position's next
+    entry can share its previous entry's, so every pair is checked when
+    `_entry` receives it: a shared vector is checked wherever it is read.
+    Training sums the two columns an update changes again instead of
+    rescoring, only at the positions that can read one of them, and rebuilds
+    the static sums for every search: a skipped position stays exact at its
+    candidates, but not at the columns outside them."""
 
     @staticmethod
     def _fresh(scorer, i, dynamic) -> np.ndarray:
         return scorer.score_vector(scorer.static_ids[i] + dynamic)
 
-    def _check_scores(self, monkeypatch, checked, columns):
-        """Check every `score` result at `columns(scorer, i)`."""
-        score = tagger_mod._SentenceScorer.score
+    @staticmethod
+    def _context_ids(scorer, i, lh, rh) -> list[int]:
+        """The ids of the known tag-context features of pair (lh, rh) at i.
+        A hypothesis holds the tags of its whole span, so its last (first)
+        two tags are the ones i sees at -2, -1 (+1, +2)."""
+        tags = scorer.model.inventory.tags
+        visible = {}
+        if lh is not None:
+            for k, t in enumerate(reversed(lh[1][-2:]), 1):
+                visible[i - k] = tags[t]
+        if rh is not None:
+            for k, t in enumerate(rh[1][:2], 1):
+                visible[i + k] = tags[t]
+        ids = scorer.model.feature_ids
+        return [ids[f] for f in tag_features(scorer.words, i, visible) if f in ids]
 
-        def checking(scorer, i, visible):
+    def _check_entries(self, monkeypatch, checked, columns):
+        """Check every pair of every `_entry` call at `columns(ids)`, and
+        count the `score` calls and the pairs checked."""
+        made = {}  # id(score vector) -> (scorer, position) of the call that made it
+        score, entry = tagger_mod._SentenceScorer.score, tagger_mod._entry
+
+        def recording(scorer, i, visible):
             vec, dynamic = score(scorer, i, visible)
-            cols = columns(scorer, i)
-            assert vec[cols].tobytes() == self._fresh(scorer, i, dynamic)[cols].tobytes()
+            made[id(vec)] = scorer, i
             checked["scores"] += 1
             return vec, dynamic
-        monkeypatch.setattr(tagger_mod._SentenceScorer, "score", checking)
+
+        def checking(pairs, ids, T):
+            cols = columns(ids)
+            for lh, rh, vec, dynamic in pairs:
+                scorer, i = made[id(vec)]
+                assert dynamic == self._context_ids(scorer, i, lh, rh)
+                assert vec[cols].tobytes() == self._fresh(scorer, i, dynamic)[cols].tobytes()
+                checked["pairs"] += 1
+            checked["entries"] += 1
+            return entry(pairs, ids, T)
+        monkeypatch.setattr(tagger_mod._SentenceScorer, "score", recording)
+        monkeypatch.setattr(tagger_mod, "_entry", checking)
 
     def _setup(self, source):
         corpus, lex = small_setup(seed=5, sentences=20, tags=10, vocab=60)
@@ -580,12 +630,13 @@ class TestScoreCacheExact:
         model, _ = train(corpus, lex, cascade,
                          TrainOptions(epochs=1, candidate_source=source), cfg)
         checked = Counter()
-        self._check_scores(monkeypatch, checked, lambda scorer, i: slice(None))
+        self._check_entries(monkeypatch, checked, lambda ids: slice(None))
         dopts = DecodeOptions(beam_size=beam, candidate_source=source,
                               hard_output_rules=cascade)
         for s in corpus.sentences:
             decode_with_trace(s, model, lex, cascade, dopts)
         assert checked["scores"] > sum(len(s.tokens) for s in corpus)
+        assert checked["pairs"] > checked["scores"]  # some pairs shared a vector
 
     @pytest.mark.parametrize("source", ["lexicon+rules", "all"])
     def test_training(self, source, monkeypatch):
@@ -593,17 +644,12 @@ class TestScoreCacheExact:
         candidates, which are every column for the full inventory.  The
         test counts the entries each refresh recomputes and the ones it
         skips, and checks that a skipped entry reads neither changed
-        column."""
+        column.  Training searches at beam 1, so an entry that `_refresh`
+        did not make and that scored nothing reads its position's previous
+        vector, refreshed by the updates since it was scored."""
         corpus, lex, cascade, cfg = self._setup(source)
         checked = Counter()
-        cands_of = {}  # scorer -> the candidate ids of its search
-        search = tagger_mod._search
-
-        def recording_search(scorer, cand_ids, beam, choose):
-            cands_of[scorer] = cand_ids
-            return search(scorer, cand_ids, beam, choose)
-        monkeypatch.setattr(tagger_mod, "_search", recording_search)
-        self._check_scores(monkeypatch, checked, lambda scorer, i: cands_of[scorer][i])
+        self._check_entries(monkeypatch, checked, lambda ids: ids)
         refreshed = set()
         scorer_refresh = tagger_mod._SentenceScorer.refresh
 
@@ -636,10 +682,84 @@ class TestScoreCacheExact:
         assert checked["updates"] == model.meta["updates"] > 0
         assert checked["refreshed"] > checked["updates"]
         assert checked["scores"] > sum(len(s.tokens) for s in corpus)
+        # Each refreshed position makes one `_entry` call; the other calls
+        # are the search's entries, and some of them shared a vector.
+        assert checked["entries"] - checked["refreshed"] > checked["scores"]
         if source == "all":
             assert checked["skipped"] == 0
         else:
             assert checked["skipped"] > 0
+
+
+class TestScoreSharing:
+    """A search scores each visible context of a position once, and holds
+    score vectors for untagged positions only."""
+
+    @staticmethod
+    def _run(source, beam, reset) -> int:
+        """Train on a small corpus and, unless `beam` is None, call `reset`
+        and decode every sentence at `beam`; returns the token count."""
+        corpus, lex = small_setup(seed=5, sentences=20, tags=10, vocab=60)
+        model, _ = train(corpus, lex, None, TrainOptions(epochs=2, candidate_source=source))
+        if beam is not None:
+            reset()
+            for s in corpus.sentences:
+                decode_with_trace(s, model, lex, None,
+                                  DecodeOptions(beam_size=beam, candidate_source=source))
+        return sum(len(s.tokens) for s in corpus)
+
+    @pytest.mark.parametrize("source", ["lexicon", "all"])
+    @pytest.mark.parametrize("beam", [1, 3, None])  # None: training alone
+    def test_each_context_scored_once(self, source, beam, monkeypatch):
+        calls = Counter()  # (search, position, visible context) -> score calls
+        searches = []
+        search, score = tagger_mod._search, tagger_mod._SentenceScorer.score
+
+        def counting_search(*args):
+            searches.append(None)
+            return search(*args)
+
+        def counting_score(scorer, i, visible):
+            calls[len(searches), i, tuple(sorted(visible.items()))] += 1
+            return score(scorer, i, visible)
+        monkeypatch.setattr(tagger_mod, "_search", counting_search)
+        monkeypatch.setattr(tagger_mod._SentenceScorer, "score", counting_score)
+        tokens = self._run(source, beam, calls.clear)
+        assert len(calls) > tokens
+        assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("beam", [1, 3, None])
+    def test_committed_positions_release_their_vectors(self, beam, monkeypatch):
+        """At every step, no score vector of a position committed before the
+        last commit is alive: the maps that share vectors are dropped with
+        their positions.  (The merge of the last commit may still hold the
+        vector it read last.)"""
+        made = []  # (position, weak reference to its score vector) in this search
+        checked = Counter()
+        search, score = tagger_mod._search, tagger_mod._SentenceScorer.score
+
+        def recording_score(scorer, i, visible):
+            vec, dynamic = score(scorer, i, visible)
+            made.append((i, weakref.ref(vec)))
+            return vec, dynamic
+
+        def checking_search(scorer, cand_ids, beam, choose):
+            made.clear()
+            committed = []
+
+            def checking_choose(p, c, cache):
+                done = set(committed[:-1])
+                assert not [i for i, ref in made if i in done and ref() is not None]
+                checked["steps"] += bool(done)
+                keep = choose(p, c, cache)
+                if keep is not None:
+                    committed.append(p)
+                return keep
+            return search(scorer, cand_ids, beam, checking_choose)
+        monkeypatch.setattr(tagger_mod, "_search", checking_search)
+        monkeypatch.setattr(tagger_mod._SentenceScorer, "score", recording_score)
+        tokens = self._run("lexicon", beam, checked.clear)
+        assert checked["steps"] > tokens // 2
 
 
 @st.composite
