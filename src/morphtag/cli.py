@@ -127,6 +127,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_lemmatize(args):
+    if bool(args.input) != bool(args.output):
+        raise ConfigError("--input requires --output" if args.input else
+                          "--output requires --input")
     lexicon = load_lexicon(read_text(args.lexicon), args.lexicon)
     ruleset = generate_rules(lexicon)
     if args.dump_rules:
@@ -138,8 +141,6 @@ def _cmd_lemmatize(args):
         if not all(right):
             return EXIT_INTERNAL
     if args.input:
-        if not args.output:
-            raise ConfigError("--input requires --output")
         corpus = read_vertical(read_text(args.input), args.input)
         lines = []
         for sent in corpus:

@@ -50,10 +50,11 @@ would leave it.  Raw weights drive training: a raw row is a
 `{tag id: value}` dict until it holds more than T // 64 cells, and a dense
 row after that, so at 680 tags most rows stay a few cells; below 128 tags
 every row is dense.  Decoding uses their average over all updates, which
-`_RawRows` keeps beside the rows, per cell, and emits as a `SparseTable`:
-the compressed sparse rows the model file stores, which a loaded model
-keeps as they are read.  No dense table of the raw or the averaged rows is
-built: decoding sums a sentence's static rows with one bincount and adds
+`_RawRows` keeps beside the rows, per cell, and emits as a `SparseTable`
+whose row r is the row of feature id r: the compressed sparse rows the
+model file stores, which a loaded model keeps as they are read, the file's
+row r as id r.  No dense table of the raw or the averaged rows is built:
+decoding sums a sentence's static rows with one bincount and adds
 tag-context rows dense, from a bounded memo.
 
 The lexicon is read in one pass per sentence, which training, decoding and
@@ -139,11 +140,14 @@ class Model:
     of `values`.  `values` is one ASCII string, the base64 of the cells as
     little-endian float64, so the bits read back exactly without printing or
     parsing float text.  Only nonzero cells are written, and only features
-    with one.  A loaded model interns `features[r]` as id r, keeps the
-    file's arrays as its averaged table and has no raw weights; no dense
-    table is built.  Decoding gives the same bits either way: it looks rows
-    up by feature string, and an absent feature, an absent row and a zero
-    cell all add nothing to a score vector that starts at +0.0."""
+    with one, in feature id order, which is first-seen order for a trained
+    model.  A loaded model interns `features[r]` as id r, keeps the file's
+    arrays as its averaged table and has no raw weights; no dense table is
+    built.  So it saves the bytes it was read from, whatever order the rows
+    were written in (files written before rows followed feature ids list
+    them in first-update order).  Decoding gives the same bits either way:
+    it looks rows up by feature string, and an absent feature, an empty row
+    and a zero cell all add nothing to a score vector that starts at +0.0."""
 
     FORMAT_VERSION = 5
 
@@ -167,9 +171,9 @@ class Model:
         names = list(self.feature_ids)  # in fid order: intern numbers features 0, 1, ...
         # -0.0 == 0.0, so no zero cell is written.
         keep = table.cells != 0.0
-        counts = np.bincount(table.cell_rows()[keep], minlength=len(table))
+        counts = np.bincount(table.cell_rows()[keep])
         rows = counts.nonzero()[0]
-        features = [names[fid] for fid in table.fids[rows].tolist()]
+        features = [names[fid] for fid in rows.tolist()]
         offsets = [0] + np.cumsum(counts[rows]).tolist()
         tag_ids = table.tag_ids[keep].tolist()
         values = table.cells[keep].astype("<f8").tobytes()
@@ -251,7 +255,7 @@ class Model:
             raise malformed(f"offsets do not rise from 0 to the {len(values)} values")
         if np.any((tag_ids < 0) | (tag_ids >= T)):
             raise malformed(f"a tag id lies outside the {T} tags")
-        table = SparseTable(T, np.arange(R), offsets, tag_ids, values)
+        table = SparseTable(T, offsets, tag_ids, values)
         # A repeated tag id would be summed by SparseTable.sums but
         # overwritten in a dense row, so the two would disagree.
         if np.any((np.diff(tag_ids) <= 0) & (np.diff(table.cell_rows()) == 0)):
@@ -267,49 +271,46 @@ class Model:
 
 class SparseTable(Mapping):
     """A table of float64 rows of T cells, as compressed sparse rows: row r
-    belongs to feature id `fids[r]` and holds the cells
+    is the row of feature id r and holds the cells
     `offsets[r]:offsets[r + 1]` of `tag_ids`, strictly ascending within the
     row, and of `cells`.  A cell that is not stored is +0.0.
 
-    As a Mapping it reads feature id -> a fresh dense row, in row order, so
-    writing to a row read from it changes nothing.  Decoding reads the
-    arrays: `sums` adds up the rows of every position of a sentence at once,
-    and `dense` is a bounded memo of the dense rows that tag-context
-    features add to a score vector.  No dense block of all rows is built."""
+    As a Mapping it reads feature id -> a fresh dense row, in id order, so
+    writing to a row read from it changes nothing; a row with no stored
+    cell is absent.  Decoding reads the arrays: `sums` adds up the rows of
+    every position of a sentence at once, and `dense` is a bounded memo of
+    the dense rows that tag-context features add to a score vector.  No
+    dense block of all rows is built."""
 
-    def __init__(self, T: int, fids=(), offsets=(0,), tag_ids=(), cells=()):
+    def __init__(self, T: int, offsets=(0,), tag_ids=(), cells=()):
         self.T = T
-        self.fids = np.asarray(fids, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.tag_ids = np.asarray(tag_ids, dtype=np.int64)
         self.cells = np.asarray(cells, dtype=np.float64)
-        # fid -> row, or -1; the last entry answers every larger fid.
-        self._row = np.full(int(self.fids.max(initial=-1)) + 2, -1, dtype=np.int64)
-        self._row[self.fids] = np.arange(len(self.fids))
         self.dense = _DenseRows(self)
 
     def __getitem__(self, fid) -> np.ndarray:
-        r = self._row[min(fid, len(self._row) - 1)] if fid >= 0 else -1
-        if r < 0:
+        start, end = self.offsets[fid:fid + 2] if 0 <= fid < len(self.offsets) - 1 else (0, 0)
+        if start == end:
             raise KeyError(fid)
-        start, end = self.offsets[r], self.offsets[r + 1]
         row = np.zeros(self.T)
         row[self.tag_ids[start:end]] = self.cells[start:end]
         return row
 
     def __iter__(self):
-        return iter(self.fids.tolist())
+        return iter(np.diff(self.offsets).nonzero()[0].tolist())
 
     def __len__(self) -> int:
-        return len(self.fids)
+        return int(np.count_nonzero(np.diff(self.offsets)))
 
     def cell_rows(self) -> np.ndarray:
-        """The row of each cell."""
-        return np.repeat(np.arange(len(self.fids)), np.diff(self.offsets))
+        """The row, that is the feature id, of each cell."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
     def sums(self, fid_lists) -> np.ndarray:
         """An array whose row i is the sum of the rows of the feature ids
-        `fid_lists[i]`, in list order; a fid without a row adds nothing.
+        `fid_lists[i]`, in list order; every id must have a row, which may
+        be empty.
 
         One np.bincount over the gathered cells, keyed i * T + tag, adds
         each bin's cells in input order from +0.0, so row i has the bits of
@@ -321,13 +322,10 @@ class SparseTable(Mapping):
         n, T = len(fid_lists), self.T
         lengths = [len(fids) for fids in fid_lists]
         fids = np.fromiter(itertools.chain.from_iterable(fid_lists), np.int64, sum(lengths))
-        rows = self._row[np.minimum(fids, len(self._row) - 1)]
-        present = rows >= 0
-        rows = rows[present]
-        positions = np.repeat(np.arange(n), lengths)[present]
-        starts = self.offsets[rows]
-        counts = self.offsets[rows + 1] - starts
-        # The cell indices of each present row in turn.
+        positions = np.repeat(np.arange(n), lengths)
+        starts = self.offsets[fids]
+        counts = self.offsets[fids + 1] - starts
+        # The cell indices of each row in turn.
         picked = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
         keys = np.repeat(positions * T, counts) + self.tag_ids[picked]
         sums = np.bincount(keys, self.cells[picked], minlength=n * T)
@@ -409,41 +407,35 @@ class _RawRows(Mapping):
             u[key + c] = u.get(key + c, 0.0) - credit
         self.k += 1
 
-    def finalize(self) -> SparseTable:
-        """The averaged rows, w - u / k, as a SparseTable with a row for each
-        raw row, in the rows' order, holding its nonzero cells; no rows
-        before the first update.  The credits u are released: the raw rows
-        and k stay, but the average cannot be extended.
+    def finalize(self, F: int) -> SparseTable:
+        """The averaged rows, w - u / k, as a SparseTable of F rows, one for
+        each of the model's F interned feature ids, holding each row's
+        nonzero cells; every row is empty before the first update.  The
+        credits u are released: the raw rows and k stay, but the average
+        cannot be extended.
 
         Every cell an update wrote has an entry in u and in its raw row,
         dict or dense, so the cells of u are all that can be nonzero, and
-        each is computed as the float operations w - (u / k) on its own."""
+        each is computed as the float operations w - (u / k) on its own.
+        Sorting u's keys, fid * T + tag, puts the cells in row order."""
         T, weights = self.T, self.rows
         u, self.u = self.u, {}
-        if self.k == 0:
-            return SparseTable(T)
-        fids = np.fromiter(weights, np.int64, len(weights))
-        rank = np.empty(int(fids.max()) + 1, dtype=np.int64)
-        rank[fids] = np.arange(len(fids))
         keys = np.fromiter(u, np.int64, len(u))
-        credits = np.fromiter(u.values(), np.float64, len(u))
-        cell_fids, tags = np.divmod(keys, T)
-        rows = rank[cell_fids]
-        order = np.argsort(rows * T + tags)
-        rows, tags, cell_fids = rows[order], tags[order], cell_fids[order]
+        order = np.argsort(keys)
+        credits = np.fromiter(u.values(), np.float64, len(u))[order]
+        fids, tags = np.divmod(keys[order], T)
         raw = np.array([row[tag] if type(row := weights[fid]) is dict else row.item(tag)
-                        for fid, tag in zip(cell_fids.tolist(), tags.tolist())])
-        cells = raw - credits[order] / self.k
+                        for fid, tag in zip(fids.tolist(), tags.tolist())])
+        cells = raw - credits / self.k
         keep = cells != 0.0
-        counts = np.bincount(rows[keep], minlength=len(fids))
-        return SparseTable(T, fids, np.concatenate(([0], np.cumsum(counts))), tags[keep],
-                           cells[keep])
+        counts = np.bincount(fids[keep], minlength=F)
+        return SparseTable(T, np.concatenate(([0], np.cumsum(counts))), tags[keep], cells[keep])
 
 
 class _DenseRows(dict):
-    """fid -> a SparseTable's dense row, or None for a fid without one,
-    built on first use.  Decoding adds these rows to score vectors and
-    never writes to them.  A miss that finds `_DENSE_CELLS // T` rows held
+    """fid -> a SparseTable's dense row, or None for an empty row, built
+    on first use.  Decoding adds these rows to score vectors and never
+    writes to them.  A miss that finds `_DENSE_CELLS // T` rows held
     first empties the memo, so a long run keeps a bounded set of rows."""
 
     def __init__(self, table: SparseTable):
@@ -653,7 +645,7 @@ class TraceStep:
     position: int
     tag_id: int
     score: float  # local action score of the committed action
-    available: dict  # position -> best local action score at that step
+    available: dict  # each untagged position -> its best local action score
 
 
 def _entry(pairs, ids, T: int) -> tuple:
@@ -883,8 +875,7 @@ def _decode(sentence, model, lexicon, rules, dopts, trace):
 
     def choose(p, c, cache):
         if trace is not None:
-            trace.append(TraceStep(p, c, cache[p][0],
-                                   {q: cache[q][0] for q in sorted(cache)}))
+            trace.append(TraceStep(p, c, cache[p][0], {q: e[0] for q, e in cache.items()}))
         return cand_ids[p]
 
     # Model.load accepts every finite cell, but a sum of cells can still
@@ -1023,7 +1014,7 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
             clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)
 
-    model.averaged = weights.finalize()
+    model.averaged = weights.finalize(len(model.feature_ids))
     # Model.load rejects such a cell, so the model would be written but
     # could not be read back.
     if not np.isfinite(model.averaged.cells).all():

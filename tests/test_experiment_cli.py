@@ -627,6 +627,15 @@ class TestCliLemmatize:
         assert main(["lemmatize", "--lexicon", str(lex),
                      "--input", str(lex)]) == 3
 
+    def test_output_needs_input(self, tmp_path, capsys):
+        """--output alone used to exit 0 and write nothing."""
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("четох\tV1\tчета\n")
+        out = tmp_path / "out.tsv"
+        assert main(["lemmatize", "--lexicon", str(lex), "--output", str(out)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestCliStats:
     def test_counts_and_ambiguity(self, dataset, capsys):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -42,15 +43,17 @@ def small_setup(seed=3, sentences=30, tags=8, vocab=40, ambiguity=0.3):
 def rounded(table: SparseTable, scale: float = 5.0) -> SparseTable:
     """The table with every stored cell scaled and rounded to an integer, so
     that many tags tie exactly; small cells become zeros, -0.0 included."""
-    return SparseTable(table.T, table.fids, table.offsets, table.tag_ids,
-                       np.round(table.cells * scale))
+    return SparseTable(table.T, table.offsets, table.tag_ids, np.round(table.cells * scale))
 
 
-def dense_table(T: int, rows: dict) -> SparseTable:
-    """A SparseTable storing every cell of the given dense rows, zeros and
-    -0.0 included, in the dict's order."""
-    return SparseTable(T, list(rows), range(0, T * len(rows) + 1, T),
-                       list(range(T)) * len(rows), [c for row in rows.values() for c in row])
+def dense_table(T: int, rows: dict, R: int = 0) -> SparseTable:
+    """A SparseTable of at least R rows storing every cell of the given
+    dense rows, zeros and -0.0 included; the other rows are empty."""
+    R = max(R, max(rows, default=-1) + 1)
+    counts = [T if fid in rows else 0 for fid in range(R)]
+    return SparseTable(T, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+                       list(range(T)) * len(rows),
+                       [c for fid in sorted(rows) for c in rows[fid]])
 
 
 class TestOptions:
@@ -203,7 +206,7 @@ class TestAveragedAccumulator:
             g, c = rng.sample(range(T), 2)
             weights.update(rng.sample(fids, rng.randint(1, 3)), g, c, rng.uniform(0, 1))
             snapshots.append(dict(weights.items()))
-        averaged = weights.finalize()
+        averaged = weights.finalize(len(fids))
         k = len(snapshots)
         assert set(averaged) == set(weights)
         for fid, row in weights.items():
@@ -213,7 +216,7 @@ class TestAveragedAccumulator:
     def test_no_updates_empty(self):
         weights = _RawRows(2)
         weights.rows[0] = np.ones(2)
-        assert weights.finalize() == {}
+        assert weights.finalize(1) == {}
 
 
 class TestRawRows:
@@ -307,6 +310,19 @@ class TestDecoding:
             assert step.position in step.available
             best = max(step.available.values())
             assert step.score == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_trace_lists_the_untagged_positions(self, beam):
+        """Each trace step commits the next position of the commit order,
+        and its `available` holds exactly the positions still untagged."""
+        corpus, lex = small_setup(sentences=25)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=3))
+        for s in corpus.sentences[:8]:
+            _, _, trace, order = decode_with_trace(s, model, lex,
+                                                   dopts=DecodeOptions(beam_size=beam))
+            assert [step.position for step in trace] == order
+            for i, step in enumerate(trace):
+                assert set(step.available) == set(range(len(s.tokens))) - set(order[:i])
 
     def test_score_matches_rescore_replay(self):
         """Rescoring reads the model's config as decoding does, so a
@@ -823,6 +839,34 @@ class TestPersistence:
             loaded.save(again)
             assert again.read_bytes() == path.read_bytes()
 
+    def test_rows_in_any_order(self, tmp_path):
+        """Files written before rows followed feature ids list them in
+        first-update order.  A file whose rows are permuted, each feature
+        with its tag ids and values, saves its own bytes again after a load
+        and decodes as the file it was permuted from."""
+        corpus, lex = small_setup(sentences=15)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        offsets, features = payload["offsets"], payload["features"]
+        values = np.frombuffer(base64.b64decode(payload["values"]), dtype="<f8")
+        perm = random.Random(7).sample(range(len(features)), len(features))
+        cells = [i for r in perm for i in range(offsets[r], offsets[r + 1])]
+        payload["features"] = [features[r] for r in perm]
+        payload["offsets"] = [0] + np.cumsum([offsets[r + 1] - offsets[r]
+                                              for r in perm]).tolist()
+        payload["tag_ids"] = [payload["tag_ids"][i] for i in cells]
+        payload["values"] = base64.b64encode(values[cells].tobytes()).decode("ascii")
+        permuted, again = tmp_path / "permuted.json", tmp_path / "again.json"
+        permuted.write_text(json.dumps(payload, ensure_ascii=False, separators=(",", ":")),
+                            encoding="utf-8")
+        assert permuted.read_bytes() != path.read_bytes()
+        Model.load(permuted).save(again)
+        assert again.read_bytes() == permuted.read_bytes()
+        assert (self._outputs(Model.load(permuted), lex, None, "all", corpus.sentences[:6])
+                == self._outputs(Model.load(path), lex, None, "all", corpus.sentences[:6]))
+
     @settings(max_examples=80, deadline=None)
     @given(_averaged_tables())
     def test_round_trip_random_tables(self, table):
@@ -868,7 +912,7 @@ class TestPersistence:
         model = Model(TagInventory(["A", "B"]), FeatureConfig(use_lexicon_features=False))
         model.intern("w0=a")
         model.intern("w0=b")
-        model.averaged = SparseTable(2, [0, 1], [0, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0])
+        model.averaged = SparseTable(2, [0, 2, 3], [0, 1, 0], [1.0, 2.0, 3.0])
         path = tmp_path / "model.json"
         model.save(path)
         assert Model.load(path).averaged[1].tolist() == [3.0, 0.0]
@@ -892,13 +936,13 @@ class TestSparseTable:
         """The static sums of a sentence, one bincount over its cells, have
         the bits of adding each dense row in turn to +0.0: with the zero
         cells stored (-0.0 included) or left out, subnormal cells, repeated
-        and unknown feature ids, and +-1e308 cells whose sums overflow to
-        inf (and to NaN from inf - inf)."""
+        feature ids and ids with empty rows, and +-1e308 cells whose sums
+        overflow to inf (and to NaN from inf - inf)."""
         T, _, rows = table
-        full = dense_table(T, dict(rows))
+        full = dense_table(T, dict(rows), 10)
         keep = full.cells != 0.0
-        counts = np.bincount(full.cell_rows()[keep], minlength=len(full))
-        nonzero = SparseTable(T, full.fids, np.concatenate(([0], np.cumsum(counts))),
+        counts = np.bincount(full.cell_rows()[keep], minlength=10)
+        nonzero = SparseTable(T, np.concatenate(([0], np.cumsum(counts))),
                               full.tag_ids[keep], full.cells[keep])
         with np.errstate(over="ignore", invalid="ignore"):
             for sparse in (full, nonzero):
@@ -914,16 +958,43 @@ class TestSparseTable:
     def test_sums_are_float_without_cells(self):
         """bincount over no cells counts in int64; the sums stay float64, so
         a score vector can still take float rows in place."""
-        empty = SparseTable(3, [], [0], [], [])
-        table = SparseTable(3, [7], [0, 1], [2], [1.5])
+        empty = SparseTable(3, [0, 0, 0], [], [])
+        table = SparseTable(3, [0] * 8 + [1] * 3, [2], [1.5])
         for sparse, positions in ((empty, [[0, 1], []]), (table, [[0], [8, 9]]), (table, [])):
             sums = sparse.sums(positions)
             assert sums.dtype == np.float64 and sums.shape == (len(positions), 3)
             assert not sums.any()
 
+    def test_a_row_per_feature_id(self, tmp_path):
+        """Training, with updates and without, gives one row per interned
+        feature, and a load one per feature in the file.  `sums` over every
+        id, ids with empty rows included, adds the dense rows one by one."""
+        corpus, lex = small_setup(sentences=15)
+        trained, _ = train(corpus, lex, topts=TrainOptions(epochs=2))
+        idle, _ = train(make_corpus([("a", "A"), ("b", "A")], [("c", "A")]),
+                        topts=TrainOptions(epochs=1),
+                        cfg=FeatureConfig(use_lexicon_features=False))
+        path = tmp_path / "model.json"
+        trained.save(path)
+        loaded = Model.load(path)
+        assert idle.meta["updates"] == 0 and idle.feature_ids and len(idle.averaged) == 0
+        assert 0 < len(trained.averaged) < len(trained.feature_ids)
+        assert len(loaded.averaged) == len(loaded.feature_ids) == len(trained.averaged)
+        for model in (trained, idle, loaded):
+            table, F = model.averaged, len(model.feature_ids)
+            assert len(table.offsets) == F + 1
+            fid_lists = [list(range(F)), list(range(F))[::-1]]
+            for fids, got in zip(fid_lists, table.sums(fid_lists)):
+                vec = np.zeros(table.T)
+                for fid in fids:
+                    if fid in table:
+                        vec += table[fid]
+                assert got.tobytes() == vec.tobytes()
+
     def test_mapping_reads_fresh_dense_rows(self):
-        table = SparseTable(3, [7, 2], [0, 2, 2], [0, 2], [1.5, -2.0])
-        assert list(table) == [7, 2] and len(table) == 2
+        # Row 2 stores one zero cell; rows 3 to 6 store none.
+        table = SparseTable(3, [0, 0, 0, 1, 1, 1, 1, 1, 3], [1, 0, 2], [0.0, 1.5, -2.0])
+        assert list(table) == [2, 7] and len(table) == 2
         assert table[7].tolist() == [1.5, 0.0, -2.0] and table[2].tolist() == [0.0] * 3
         assert 3 not in table and 8 not in table and table.get(-1) is None
         table[7][0] = 9.0
@@ -1018,17 +1089,17 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "71fb38d47b28b53b660743d4d0e59095a3f132585f439d8e2eb80323d363ef2e",
+            "d9ed2d58730876951e398b26cb2e33c12b5152ece17a3377e34fc3f47f51aaa5",
             "d3720ef6ae562b0ebfc107462eeebd93fe045728fe9463d68ad92ada1520f5bd",
             "bcfa13a2986ae8f252280f339c6b5d2532d5e1d6b9df8038ec761b0ba03a08f9",
             "e0c61848ba1060a446d022618282624dad896a9e8306345d111fc9f04630a738")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "849ac80e3a768710eb879d277bf545e0271dec2664d61a4f1a9e86704e0c0f3e",
+            "04070db7c5c351912eddf0c47f254ac8753f2340b599fbb776db8f839eba3789",
             "b7f5600192f7527ed985f6857706d548877d322a3aeee4e1f8149f2aa5098fab",
             "cb0e289c8e59d3dcaae3029cfabaf587ba4b80fa64d90c725f6917ed61a29d7c",
             "a8a1f1b8fa812ac8758df593d44226b0787ccd65ba0da38d939628e051639e48")),
         "lexicon-oov": ("lexicon", False, (
-            "d9d5293e6f030d10915091ed886a41e64a64659a3a952c8cc10462654a4b19b6",
+            "f0d1b9cd06ff5f6b27f944161a32ceb95483fe0aed5e5682b4e308de7c3b3ada",
             "fd521ba3b49f788453485b7636555689cbf074d4c194646aa6b1c4aac2855771",
             "b5407214630ab589336a6b95039e7f64e8689122db7b3b8a525f78d10ffb50b5",
             "b93175eb06d17e71376e4af8addace0d7a61c1111a1d5622456b228e3405bef2")),
@@ -1038,7 +1109,7 @@ class TestGolden:
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "25d0c5831e19ca2bfdbbaff9c9e7b8f5d500a298a2224bf495b569f049af0c6a",
+            "21ec8cbbd9e2b1c480f77b41f28e3c4aaff2e28498ab1bc07f31885f32ec2c8f",
             "33486bdaa87a29049d90402ed957bbf037aff5862e9a5341d77cf36075a4d98e",
             "db5af6728e7859913e13542c9ded2d04a31adb397b1e94dbbfbb96f3d2a6f4b4",
             "439a139f995743270889bca133261f14a8419999fc63ed6a9f3e6c0df84a7802")),
