@@ -8,7 +8,11 @@ way, with `text_lines`.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import secrets
+import stat
 from dataclasses import dataclass
 
 from .errors import ConfigError, DataError, FormatError
@@ -91,12 +95,49 @@ def text_lines(text: str) -> list[str]:
 
 def write_text(path, text: str):
     """Write a whole UTF-8 file; a file that cannot be written is a
-    ConfigError."""
+    ConfigError naming `path`.
+
+    A regular file is never left half written: the text goes to a new file
+    in the target's directory, which then replaces the target, and a failed
+    write removes the new file and leaves the target as it was.  The new
+    file gets the mode `open(path, "w")` would give it, the old file's or
+    0666 less the umask.  A symlink keeps its link, and the file it points
+    to is replaced; other hard links to a replaced file keep its old text.
+    A target that exists and is not a regular file, such as /dev/stdout on
+    a pipe or a terminal, or a FIFO, is written in place, and so is a file
+    that its resolved name no longer names (/dev/stdout redirected to a
+    deleted file)."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+        target = os.path.realpath(path)
+        if st is not None and not (stat.S_ISREG(st.st_mode) and os.path.exists(target)
+                                   and os.path.samestat(st, os.stat(target))):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        mode = None if st is None else stat.S_IMODE(st.st_mode)
+        directory, name = os.path.split(target)
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+        # "x" never opens a file that is already there, and creates one with
+        # mode 0666 less the umask, as "w" does.
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                if mode is not None:
+                    os.fchmod(fh.fileno(), mode)
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        # The message an open(path, "w") that failed would give.
+        raise ConfigError(f"cannot write {path}: "
+                          f"{OSError(exc.errno, exc.strerror, str(path))}") from None
 
 
 def read_vertical(text: str, path=None) -> Corpus:

@@ -132,24 +132,27 @@ class Model:
     average, which decoding reads, a `SparseTable`.  `weights` reads each
     raw row as a fresh dense row; training writes the rows it holds.
 
-    The file (format 5) is one UTF-8 JSON object holding only what decoding
+    The file (format 6) is one UTF-8 JSON object holding only what decoding
     reads: `tags`, `config` (the two `FeatureConfig` fields), `meta` and the
     averaged table as compressed sparse rows.  Row r belongs to the feature
-    string `features[r]` and holds the cells `offsets[r]:offsets[r + 1]` of
-    the flat integer array `tag_ids`, strictly ascending within the row, and
-    of `values`.  `values` is one ASCII string, the base64 of the cells as
-    little-endian float64, so the bits read back exactly without printing or
-    parsing float text.  Only nonzero cells are written, and only features
-    with one, in feature id order, which is first-seen order for a trained
-    model.  A loaded model interns `features[r]` as id r, keeps the file's
-    arrays as its averaged table and has no raw weights; no dense table is
+    string `features[r]` and holds the next `lengths[r]` cells of the flat
+    arrays `tag_ids`, strictly ascending within the row, and `values`.  The
+    three arrays are ASCII strings, the base64 of little-endian numbers:
+    `values` of float64, so the bits read back exactly without printing or
+    parsing float text, and `lengths` and `tag_ids` of unsigned integers of
+    2 bytes when there are at most 65,535 tags and of 4 bytes otherwise; the
+    width follows from `tags`.  Only nonzero cells are written, and only
+    features with one, in feature id order, which is first-seen order for a
+    trained model.  A loaded model interns `features[r]` as id r, keeps the
+    file's arrays as its averaged table, with offsets 0 followed by the
+    running sums of `lengths`, and has no raw weights; no dense table is
     built.  So it saves the bytes it was read from, whatever order the rows
     were written in (files written before rows followed feature ids list
     them in first-update order).  Decoding gives the same bits either way:
     it looks rows up by feature string, and an absent feature, an empty row
     and a zero cell all add nothing to a score vector that starts at +0.0."""
 
-    FORMAT_VERSION = 5
+    FORMAT_VERSION = 6
 
     def __init__(self, inventory: TagInventory, cfg: FeatureConfig, meta=None):
         self.inventory = inventory
@@ -173,26 +176,23 @@ class Model:
         keep = table.cells != 0.0
         counts = np.bincount(table.cell_rows()[keep])
         rows = counts.nonzero()[0]
-        features = [names[fid] for fid in rows.tolist()]
-        offsets = [0] + np.cumsum(counts[rows]).tolist()
-        tag_ids = table.tag_ids[keep].tolist()
-        values = table.cells[keep].astype("<f8").tobytes()
+        ints = _int_dtype(len(self.inventory))
         payload = {
             "format": self.FORMAT_VERSION,
             "tags": self.inventory.tags,
             "config": self.cfg.to_dict(),
             "meta": self.meta,
-            "features": features,
-            "offsets": offsets,
-            "tag_ids": tag_ids,
-            "values": base64.b64encode(values).decode("ascii"),
+            "features": [names[fid] for fid in rows.tolist()],
+            "lengths": _b64encode(counts[rows], ints),
+            "tag_ids": _b64encode(table.tag_ids[keep], ints),
+            "values": _b64encode(table.cells[keep], "<f8"),
         }
         # json.dumps runs the C encoder; json.dump to a file does not.
         write_text(path, json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
 
     # Top-level fields of a model file and their JSON types; "meta" may be absent.
     _FIELDS = {"tags": list, "config": dict, "meta": dict, "features": list,
-               "offsets": list, "tag_ids": list, "values": str}
+               "lengths": str, "tag_ids": str, "values": str}
     _JSON_TYPES = {list: "array", dict: "object", str: "string"}
 
     @classmethod
@@ -213,17 +213,10 @@ class Model:
         def malformed(problem):
             return DataError(f"{path}: malformed model: {problem}")
         # Element types are checked before TagInventory indexes a tag and
-        # before numpy converts the arrays, which would read a true among
-        # integers as 1.  type(), not isinstance: JSON true and false are
-        # not numbers here.
-        for key, types, kind in (("tags", {str}, "a string"), ("features", {str}, "a string"),
-                                 ("offsets", {int}, "an integer"),
-                                 ("tag_ids", {int}, "an integer")):
-            if set(map(type, payload[key])) - types:
-                raise malformed(f"an element of {key!r} is not {kind}")
-        features = payload["features"]
-        if len(set(features)) != len(features):
-            raise malformed("a feature is repeated")
+        # before the features become dict keys.
+        for key in ("tags", "features"):
+            if set(map(type, payload[key])) - {str}:
+                raise malformed(f"an element of {key!r} is not a string")
         # A bad tag or config (an invalid or repeated tag, an unknown config
         # key) surfaces as one of these while the model is built.
         try:
@@ -231,49 +224,74 @@ class Model:
                         FeatureConfig.from_dict(payload["config"]), payload["meta"])
         except (TypeError, ValueError, ConfigError) as exc:
             raise malformed(exc) from None
+        features = payload["features"]
         R, T = len(features), len(model.inventory)
-        # validate=True rejects every character outside the base64 alphabet;
-        # text that is not ASCII raises ValueError too.
-        try:
-            raw = base64.b64decode(payload["values"], validate=True)
-        except ValueError as exc:
-            raise malformed(f"'values' is not base64: {exc}") from None
-        if len(raw) % 8:
-            raise malformed(f"'values' holds {len(raw)} bytes, not a multiple of 8")
-        values = np.frombuffer(raw, dtype="<f8")
-        try:  # the elements are integers, but may not fit in int64
-            offsets = np.array(payload["offsets"], dtype=np.int64)
-            tag_ids = np.array(payload["tag_ids"], dtype=np.int64)
-        except OverflowError as exc:
-            raise malformed(exc) from None
+
+        def array(key, dtype):
+            # validate=True rejects every character outside the base64
+            # alphabet; text that is not ASCII raises ValueError too.
+            try:
+                raw = base64.b64decode(payload[key], validate=True)
+            except ValueError as exc:
+                raise malformed(f"{key!r} is not base64: {exc}") from None
+            size = np.dtype(dtype).itemsize
+            if len(raw) % size:
+                raise malformed(f"{key!r} holds {len(raw)} bytes, not a multiple of {size}")
+            return np.frombuffer(raw, dtype=dtype)
+        ints = _int_dtype(T)
+        lengths = array("lengths", ints)
+        tag_ids = array("tag_ids", ints)
+        values = array("values", "<f8")
+        if len(lengths) != R:
+            raise malformed(f"'lengths' holds {len(lengths)} rows, not the {R} of 'features'")
         if len(values) != len(tag_ids):
             raise malformed(f"'values' holds {len(values)} cells, not the "
                             f"{len(tag_ids)} of 'tag_ids'")
-        if len(offsets) != R + 1:
-            raise malformed(f"{R} features need {R + 1} offsets, not {len(offsets)}")
-        if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
-            raise malformed(f"offsets do not rise from 0 to the {len(values)} values")
-        if np.any((tag_ids < 0) | (tag_ids >= T)):
+        offsets = np.zeros(R + 1, dtype=np.int64)
+        np.cumsum(lengths, dtype=np.int64, out=offsets[1:])
+        if offsets[-1] != len(tag_ids):
+            raise malformed(f"'lengths' add up to {offsets[-1]} cells, not the "
+                            f"{len(tag_ids)} of 'tag_ids'")
+        if np.any(tag_ids >= T):
             raise malformed(f"a tag id lies outside the {T} tags")
         table = SparseTable(T, offsets, tag_ids, values)
         # A repeated tag id would be summed by SparseTable.sums but
-        # overwritten in a dense row, so the two would disagree.
-        if np.any((np.diff(tag_ids) <= 0) & (np.diff(table.cell_rows()) == 0)):
+        # overwritten in a dense row, so the two would disagree.  The
+        # differences are taken in the table's int64, where they can be
+        # negative.
+        if np.any((np.diff(table.tag_ids) <= 0) & (np.diff(table.cell_rows()) == 0)):
             raise malformed("the tag ids of a row do not strictly ascend")
         # numpy would store NaN, which the search's argmax and its
         # comparisons disagree on.
         if not np.all(np.isfinite(values)):
             raise malformed("a cell of 'values' is not finite")
         model.feature_ids = dict(zip(features, range(R)))
+        if len(model.feature_ids) != R:
+            raise malformed("a feature is repeated")
         model.averaged = table
         return model
+
+
+def _int_dtype(T: int) -> str:
+    """The little-endian unsigned integers of a model file's `lengths` and
+    `tag_ids` for T tags: 2 bytes up to 65,535 tags, which holds every tag
+    id and every row length, and 4 bytes above that."""
+    return "<u2" if T <= 0xFFFF else "<u4"
+
+
+def _b64encode(array: np.ndarray, dtype: str) -> str:
+    """The base64 text of `array` as `dtype`, as a model file stores it."""
+    return base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")
 
 
 class SparseTable(Mapping):
     """A table of float64 rows of T cells, as compressed sparse rows: row r
     is the row of feature id r and holds the cells
     `offsets[r]:offsets[r + 1]` of `tag_ids`, strictly ascending within the
-    row, and of `cells`.  A cell that is not stored is +0.0.
+    row, and of `cells`.  A cell that is not stored is +0.0.  The arrays are
+    int64, int64 and float64 whatever they are built from; a model file
+    stores `np.diff(offsets)` and `tag_ids` as narrower integers (see
+    `Model`).
 
     As a Mapping it reads feature id -> a fresh dense row, in id order, so
     writing to a row read from it changes nothing; a row with no stored

@@ -1,12 +1,21 @@
+import errno
 import hashlib
+import os
+import re
+import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morphtag
 from conftest import make_corpus
 from morphtag.baselines import load_guesser
-from morphtag.corpus import Token, read_vertical, stats, text_lines, write_vertical
+from morphtag.corpus import (Token, read_vertical, stats, text_lines, write_text,
+                             write_vertical)
 from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.experiment import parse_spec
 from morphtag.lexicon import Lexicon, dump_lexicon, load_lexicon
@@ -156,6 +165,108 @@ class TestWriteVertical:
                               min_sentence_len=1, max_sentence_len=6)
         corpus, _ = generate_synthetic(cfg, seed)
         assert read_vertical(write_vertical(corpus)) == corpus
+
+
+class TestWriteText:
+    """write_text replaces a regular file whole, so a failed write leaves
+    the old bytes and no temporary file; other targets are written in
+    place."""
+
+    OLD = "old\tA\n\n"
+
+    @staticmethod
+    def _python(code: str, *args) -> subprocess.CompletedProcess:
+        """Run `code` with `args` in a fresh interpreter that imports this
+        morphtag."""
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(morphtag.__file__))}
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        """A CLI run whose file size limit is below the corpus it writes,
+        and which ignores SIGXFSZ, fails the write with EFBIG: exit 3 and
+        one line naming the target."""
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(self.OLD, encoding="utf-8")
+        run = self._python(
+            "import resource, signal, sys\n"
+            "from morphtag.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+            "sys.exit(main(sys.argv[1:]))",
+            "gen-synthetic", "--sentences", "200", "--out-corpus", str(corpus),
+            "--out-lexicon", str(tmp_path / "lexicon.tsv"))
+        assert run.returncode == 3, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and f"cannot write {corpus}: [Errno 27]" in lines[0]
+        assert corpus.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == ["corpus.tsv"]
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.tsv"
+        path.write_text(self.OLD, encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: [Errno 5]")):
+            write_text(path, "new\n")
+        assert path.read_text(encoding="utf-8") == self.OLD
+        assert os.listdir(tmp_path) == ["out.tsv"]
+
+    def test_mode_as_open_gives_it(self, tmp_path):
+        """A new file gets 0666 less the umask, not a temporary file's 0600;
+        a replaced file keeps its own mode."""
+        new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+        old.write_text(self.OLD, encoding="utf-8")
+        old.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            write_text(new, "new\n")
+            write_text(old, "new\n")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert old.read_text(encoding="utf-8") == "new\n"
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")),
+                                  daemon=True)
+        reader.start()
+        write_text(fifo, "through the fifo\n")
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == ["through the fifo\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["fifo"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_written_in_place(self):
+        """/dev/stdout on a pipe."""
+        run = self._python("from morphtag.corpus import write_text\n"
+                           "write_text('/dev/stdout', 'to stdout\\n')")
+        assert run.returncode == 0 and run.stdout == "to stdout\n" and run.stderr == ""
+
+    def test_symlink_keeps_its_link(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "out.tsv", tmp_path / "link.tsv"
+        target.write_text(self.OLD, encoding="utf-8")
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path / "data") == ["out.tsv"]
+
+    def test_missing_directory(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "out.tsv"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot write {path}: [Errno 2] No such file or directory: '{path}'")):
+            write_text(path, "new\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestStats:

@@ -33,6 +33,12 @@ def _b64(*cells) -> str:
     return base64.b64encode(struct.pack(f"<{len(cells)}d", *cells)).decode("ascii")
 
 
+def _ints(*ints) -> str:
+    """The `lengths` or `tag_ids` field of a model file of at most 65,535
+    tags holding these integers."""
+    return base64.b64encode(struct.pack(f"<{len(ints)}H", *ints)).decode("ascii")
+
+
 SPEC_TEXT = """
 # grid over lexicon features
 train=train.tsv
@@ -383,14 +389,14 @@ class TestCliTrainTag:
         assert len(err) == 1 and message in err[0]
         assert not written.exists()
 
-    # A well-formed format-5 model: one feature with one weight.  It has no
+    # A well-formed format-6 model: one feature with one weight.  It has no
     # lexicon features, so it tags without --lexicon.
-    MODEL = {"format": 5, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
-             "meta": {}, "features": ["w0=a"], "offsets": [0, 1], "tag_ids": [1],
+    MODEL = {"format": 6, "tags": ["A", "B"], "config": {"use_lexicon_features": False},
+             "meta": {}, "features": ["w0=a"], "lengths": _ints(1), "tag_ids": _ints(1),
              "values": _b64(1.0)}
     # Each broken model is MODEL with these fields replaced; None drops one.
     BROKEN_MODELS = {
-        "model-tag-id-out-of-range": {"tag_ids": [5]},
+        "model-tag-id-out-of-range": {"tag_ids": _ints(5)},
         "model-missing-key": {"features": None},
         "model-wrong-type": {"tags": 5},
         "model-tag-not-string": {"tags": [{"A": 1}, "B"]},
@@ -402,17 +408,16 @@ class TestCliTrainTag:
                                                 "lexicon_filter": "test_only"}},
         "model-nan-weight": {"values": _b64(float("nan"))},
         "model-inf-weight": {"values": _b64(float("-inf"))},
-        "model-offsets-end-short": {"offsets": [0, 1], "tag_ids": [0, 1],
+        "model-lengths-sum-short": {"lengths": _ints(1), "tag_ids": _ints(0, 1),
                                     "values": _b64(1.0, 2.0)},
-        "model-offsets-decrease": {"features": ["w0=a", "w0=b", "w0=c"],
-                                   "offsets": [0, 2, 1, 2], "tag_ids": [0, 1],
-                                   "values": _b64(1.0, 2.0)},
-        "model-duplicate-feature": {"features": ["w0=a", "w0=a"], "offsets": [0, 1, 2],
-                                    "tag_ids": [0, 1], "values": _b64(1.0, 2.0)},
+        "model-lengths-count": {"features": ["w0=a", "w0=b", "w0=c"], "lengths": _ints(1, 1),
+                                "tag_ids": _ints(0, 1), "values": _b64(1.0, 2.0)},
+        "model-duplicate-feature": {"features": ["w0=a", "w0=a"], "lengths": _ints(1, 1),
+                                    "tag_ids": _ints(0, 1), "values": _b64(1.0, 2.0)},
         # A repeated tag id used to load as its last value.
-        "model-tag-id-repeated": {"offsets": [0, 2], "tag_ids": [1, 1],
+        "model-tag-id-repeated": {"lengths": _ints(2), "tag_ids": _ints(1, 1),
                                   "values": _b64(1.0, 2.0)},
-        "model-tag-ids-descend": {"offsets": [0, 2], "tag_ids": [1, 0],
+        "model-tag-ids-descend": {"lengths": _ints(2), "tag_ids": _ints(1, 0),
                                   "values": _b64(1.0, 2.0)},
         "model-values-count": {"values": _b64(1.0, 2.0)},
         # `values` as a JSON array, as formats 2 and 3 wrote it.
@@ -424,7 +429,10 @@ class TestCliTrainTag:
         "model-values-not-base64": {"values": _b64(1.0)[:4] + "*" + _b64(1.0)[4:]},
         "model-values-not-ascii": {"values": "\u00c4" + _b64(1.0)[1:]},
         "model-values-length": {"values": _b64(1.0)[:8]},
-        "model-float-tag-id": {"tag_ids": [1.0]},
+        # `tag_ids` as a JSON array, as format 5 wrote it.
+        "model-tag-ids-list": {"tag_ids": [1]},
+        "model-tag-ids-odd-bytes": {"tag_ids": base64.b64encode(b"\x01\x00\x00").decode()},
+        "model-lengths-not-base64": {"lengths": _ints(1)[:2] + "*" + _ints(1)[2:]},
         # Well-formed files of older formats: they have to be retrained.
         "model-format-1": {"format": 1, "features": {"w0=a": 0},
                            "weights": {"0": {"1": 1.0}}, "averaged": {"0": {"1": 1.0}}},
@@ -436,6 +444,7 @@ class TestCliTrainTag:
         "model-format-3": {"format": 3, "values": [1.0]},
         # Format 4 marked test-only rule filtering in meta, not in config.
         "model-format-4": {"format": 4, "meta": {"rules_mode": "test-only"}},
+        "model-format-5": {"format": 5, "lengths": None, "offsets": [0, 1], "tag_ids": [1]},
     }
 
     def test_well_formed_model_tags(self, tmp_path):
@@ -471,7 +480,7 @@ class TestCliTrainTag:
         corpus, model, out = tmp_path / "corpus.tsv", tmp_path / "model.json", tmp_path / "out.tsv"
         corpus.write_text("a\n\n", encoding="utf-8")
         model.write_text(json.dumps({**self.MODEL, "features": ["w0=a", "pre1=a"],
-                                     "offsets": [0, 2, 4], "tag_ids": [0, 1, 0, 1],
+                                     "lengths": _ints(2, 2), "tag_ids": _ints(0, 1, 0, 1),
                                      "values": _b64(*[-1e308] * 4)}), encoding="utf-8")
         assert main(["tag", "--model", str(model), "--input", str(corpus),
                      "--output", str(out)]) == 2
@@ -529,10 +538,14 @@ class TestCliTrainTag:
         assert main(argv) == expected
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        if case in ("model-format-2", "model-format-3", "model-format-4"):
+        if case in ("model-format-2", "model-format-3", "model-format-4", "model-format-5"):
             assert lines[0].endswith(f"unsupported model format {case[-1]}")
         elif "value" in case or "weight" in case:
             assert "'values'" in lines[0]
+        elif "lengths" in case:
+            assert "'lengths'" in lines[0]
+        elif case in ("model-tag-ids-list", "model-tag-ids-odd-bytes"):
+            assert "'tag_ids'" in lines[0]
 
 
 class TestCliBaseline:

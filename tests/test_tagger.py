@@ -30,6 +30,16 @@ from morphtag.tagger import (DecodeOptions, Model, SparseTable, TrainOptions, _R
 from morphtag.tagset import TagInventory
 
 
+def _b64(array: np.ndarray) -> str:
+    """A model file's base64 text of an array, in the array's own dtype."""
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _unb64(text: str, dtype: str) -> np.ndarray:
+    """The array of `dtype` whose base64 text a model file holds."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
+
+
 def sent(*surfaces):
     return Sentence(tuple(Token(s, None) for s in surfaces))
 
@@ -849,15 +859,16 @@ class TestPersistence:
         path = tmp_path / "model.json"
         model.save(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        offsets, features = payload["offsets"], payload["features"]
-        values = np.frombuffer(base64.b64decode(payload["values"]), dtype="<f8")
+        features = payload["features"]
+        lengths, tag_ids = _unb64(payload["lengths"], "<u2"), _unb64(payload["tag_ids"], "<u2")
+        values = _unb64(payload["values"], "<f8")
+        offsets = [0] + np.cumsum(lengths).tolist()
         perm = random.Random(7).sample(range(len(features)), len(features))
         cells = [i for r in perm for i in range(offsets[r], offsets[r + 1])]
         payload["features"] = [features[r] for r in perm]
-        payload["offsets"] = [0] + np.cumsum([offsets[r + 1] - offsets[r]
-                                              for r in perm]).tolist()
-        payload["tag_ids"] = [payload["tag_ids"][i] for i in cells]
-        payload["values"] = base64.b64encode(values[cells].tobytes()).decode("ascii")
+        payload["lengths"] = _b64(lengths[perm])
+        payload["tag_ids"] = _b64(tag_ids[cells])
+        payload["values"] = _b64(values[cells])
         permuted, again = tmp_path / "permuted.json", tmp_path / "again.json"
         permuted.write_text(json.dumps(payload, ensure_ascii=False, separators=(",", ":")),
                             encoding="utf-8")
@@ -917,10 +928,41 @@ class TestPersistence:
         model.save(path)
         assert Model.load(path).averaged[1].tolist() == [3.0, 0.0]
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["tag_ids"][:2] = tag_ids
+        assert _unb64(payload["lengths"], "<u2").tolist() == [2, 1]
+        payload["tag_ids"] = _b64(np.array(tag_ids + [0], dtype="<u2"))
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match="tag ids of a row do not strictly ascend"):
             Model.load(path)
+
+    @pytest.mark.parametrize("T, width, table", [
+        (65535, 2, ([0, 2, 3], [0, 65534, 1], [1.5, -2.0, 0.25])),
+        (65536, 4, ([0, 2, 3], [0, 65535, 1], [1.5, -2.0, 0.25])),
+        (3, 2, ([0], [], [])),
+    ], ids=["65535-tags", "65536-tags", "no-cell"])
+    def test_integer_width(self, T, width, table, tmp_path):
+        """`lengths` and `tag_ids` are stored as 2-byte integers up to
+        65,535 tags and as 4-byte ones above, with no JSON integer array;
+        a model with no nonzero cell stores three empty strings.  A reload
+        has the arrays of the model in memory and saves the same bytes."""
+        model = Model(TagInventory([f"T{t}" for t in range(T)]),
+                      FeatureConfig(use_lexicon_features=False))
+        for r in range(len(table[0]) - 1):
+            model.intern(f"w0=w{r}")
+        model.averaged = SparseTable(T, *table)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format"] == 6 and "offsets" not in payload
+        assert [type(payload[k]) for k in ("lengths", "tag_ids", "values")] == [str] * 3
+        assert _unb64(payload["lengths"], f"<u{width}").tolist() == np.diff(table[0]).tolist()
+        assert _unb64(payload["tag_ids"], f"<u{width}").tolist() == table[1]
+        assert _unb64(payload["values"], "<f8").tolist() == table[2]
+        loaded = Model.load(path)
+        for name in ("offsets", "tag_ids", "cells"):
+            got, expect = getattr(loaded.averaged, name), getattr(model.averaged, name)
+            assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
@@ -1089,27 +1131,27 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "d9ed2d58730876951e398b26cb2e33c12b5152ece17a3377e34fc3f47f51aaa5",
+            "fa5085aceb0987d1642e3ac7c840320ceb45d89ae741ea180085969e508bcda4",
             "d3720ef6ae562b0ebfc107462eeebd93fe045728fe9463d68ad92ada1520f5bd",
             "bcfa13a2986ae8f252280f339c6b5d2532d5e1d6b9df8038ec761b0ba03a08f9",
             "e0c61848ba1060a446d022618282624dad896a9e8306345d111fc9f04630a738")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "04070db7c5c351912eddf0c47f254ac8753f2340b599fbb776db8f839eba3789",
+            "ac379fc4cc9132f0615b88aee826d679d959a341491266a6f91ef1ff715ba226",
             "b7f5600192f7527ed985f6857706d548877d322a3aeee4e1f8149f2aa5098fab",
             "cb0e289c8e59d3dcaae3029cfabaf587ba4b80fa64d90c725f6917ed61a29d7c",
             "a8a1f1b8fa812ac8758df593d44226b0787ccd65ba0da38d939628e051639e48")),
         "lexicon-oov": ("lexicon", False, (
-            "f0d1b9cd06ff5f6b27f944161a32ceb95483fe0aed5e5682b4e308de7c3b3ada",
+            "0e9712ac64d5b5b3af0562f21b3ca18ca23b33895138253cffaf5264fa8b143e",
             "fd521ba3b49f788453485b7636555689cbf074d4c194646aa6b1c4aac2855771",
             "b5407214630ab589336a6b95039e7f64e8689122db7b3b8a525f78d10ffb50b5",
             "b93175eb06d17e71376e4af8addace0d7a61c1111a1d5622456b228e3405bef2")),
         "all-ties": ("all", False, (
-            "989dd7553121a958adec78ac34b594313635d0e0d4732e7898ff8cc2c069b013",
+            "7ae8181f6cb0875153fff44276914ec336f576a14f38dc779dcaa82aaf1e0a8e",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
         "hard-rules-prefix": ("lexicon", True, (
-            "21ec8cbbd9e2b1c480f77b41f28e3c4aaff2e28498ab1bc07f31885f32ec2c8f",
+            "1077b20ff93576a35bf61f8b4eb54ed46ac8f6bcd65cd4741c3d2b716e049488",
             "33486bdaa87a29049d90402ed957bbf037aff5862e9a5341d77cf36075a4d98e",
             "db5af6728e7859913e13542c9ded2d04a31adb397b1e94dbbfbb96f3d2a6f4b4",
             "439a139f995743270889bca133261f14a8419999fc63ed6a9f3e6c0df84a7802")),
