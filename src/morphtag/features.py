@@ -14,7 +14,7 @@ fixed template groups:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 
@@ -88,13 +88,16 @@ def word_features(words: Sequence[str], i: int, cfg: FeatureConfig,
     return feats
 
 
-def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str]) -> list[str]:
-    """Templates over assigned neighbour tags; empty when nothing nearby is
-    assigned yet."""
-    t_m1 = tags.get(i - 1)
-    t_m2 = tags.get(i - 2)
-    t_p1 = tags.get(i + 1)
-    t_p2 = tags.get(i + 2)
+def tag_features(words: Sequence[str], i: int, left: Sequence[str] = (),
+                 right: Sequence[str] = ()) -> list[str]:
+    """Templates over the neighbour tags visible at i: `left` holds the tags
+    at i - len(left) .. i - 1, nearest last, and `right` those at
+    i + 1 .. i + len(right), nearest first, at most two each.  Empty when
+    nothing nearby is tagged yet."""
+    t_m1 = left[-1] if left else None
+    t_m2 = left[-2] if len(left) > 1 else None
+    t_p1 = right[0] if right else None
+    t_p2 = right[1] if len(right) > 1 else None
     feats = []
     if t_m1 is not None:
         feats.append(f"t-1={t_m1}")
@@ -104,9 +107,10 @@ def tag_features(words: Sequence[str], i: int, tags: Mapping[int, str]) -> list[
         feats.append(f"t+1={t_p1}")
     if t_p2 is not None:
         feats.append(f"t+2={t_p2}")
-    if t_m2 is not None and t_m1 is not None:
+    # A tag at offset 2 comes with the one at offset 1 on its side.
+    if t_m2 is not None:
         feats.append(f"t-2,t-1={t_m2}|{t_m1}")
-    if t_p1 is not None and t_p2 is not None:
+    if t_p2 is not None:
         feats.append(f"t+1,t+2={t_p1}|{t_p2}")
     if t_m1 is not None and t_p1 is not None:
         feats.append(f"t-1,t+1={t_m1}|{t_p1}")

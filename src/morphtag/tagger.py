@@ -6,12 +6,15 @@ One search core serves decoding and training.  Each step scores every
 committed, and commits the single highest-scoring action anywhere in the
 sentence, growing tagged spans from both directions.  Each span keeps up to
 B hypotheses; a hypothesis' accumulated score is the sum of the action
-scores that built it.  Context tags are only visible through a contiguous
-run of committed positions (offset -2 counts only when -1 is committed
-too), which keeps every hypothesis' score exactly replayable from its
-commit order.  It also means a commit is seen only by the two untagged
-positions just outside the new span: the search caches every other
-position's best action and score vectors, and enters only those two again.
+scores that built it.  A position's visible context is one value,
+(left, right): the committed tags just before it, nearest last, and just
+after it, nearest first, at most two on each side, read only through a
+contiguous run of committed positions (offset -2 counts only when -1 is
+committed too).  That keeps every hypothesis' score exactly replayable
+from its commit order.  It also means a commit is seen only by the two
+untagged positions just outside the new span: the search caches every
+other position's best action and score vectors, and enters only those two
+again.
 A score vector is the sum of the position's static (surface and lexicon)
 weight rows, built once per search, plus the rows of its tag-context
 features.  A search scores each visible context of a position once:
@@ -598,11 +601,14 @@ class _SentenceScorer:
     def score_vector(self, fids) -> np.ndarray:
         return self._add_rows(np.zeros(self.T), fids)
 
-    def score(self, i: int, visible_ids: dict[int, int]) -> tuple[np.ndarray, list[int]]:
-        """Position i's score vector in a visible context, and the ids of
-        that context's tag features."""
-        visible = {j: self.model.inventory.tags[t] for j, t in visible_ids.items()}
-        dynamic = self._intern(tag_features(self.words, i, visible))
+    def score(self, i: int, left=(), right=()) -> tuple[np.ndarray, list[int]]:
+        """Position i's score vector in the visible context (left, right),
+        and the ids of that context's tag features.  `left` holds the tag
+        ids at i - len(left) .. i - 1 and `right` those at
+        i + 1 .. i + len(right), at most two each (see `tag_features`)."""
+        tags = self.model.inventory.tags
+        dynamic = self._intern(tag_features(self.words, i, [tags[t] for t in left],
+                                            [tags[t] for t in right]))
         static = self.static_sums.get(i)
         if static is None:
             static = self.static_sums[i] = self.score_vector(self.static_ids[i])
@@ -635,18 +641,15 @@ class _SentenceScorer:
         return sg, sc
 
 
-def _visible_context(p: int, assigned: dict[int, int]) -> dict[int, int]:
-    """Neighbour tags visible through contiguous committed runs only."""
-    vis = {}
+def _visible_context(p: int, assigned: dict[int, int]) -> tuple[tuple, tuple]:
+    """The (left, right) tag ids visible at p through contiguous committed
+    runs only: offset -2 (+2) counts only when -1 (+1) is committed too."""
+    left = right = ()
     if p - 1 in assigned:
-        vis[p - 1] = assigned[p - 1]
-        if p - 2 in assigned:
-            vis[p - 2] = assigned[p - 2]
+        left = (assigned[p - 2], assigned[p - 1]) if p - 2 in assigned else (assigned[p - 1],)
     if p + 1 in assigned:
-        vis[p + 1] = assigned[p + 1]
-        if p + 2 in assigned:
-            vis[p + 2] = assigned[p + 2]
-    return vis
+        right = (assigned[p + 1], assigned[p + 2]) if p + 2 in assigned else (assigned[p + 1],)
+    return left, right
 
 
 # Easiest-first search ----------------------------------------------------
@@ -747,67 +750,52 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     A step at which no untagged position has a finite best score raises
     FloatingPointError.
 
-    A pair's visible context is the last one or two tags of its left
-    hypothesis and the first one or two of its right one.  Hypotheses of one
-    span often share them, and a position entered again after a commit at
-    the far end of a span next to it often sees the tags it saw before.  So
-    a position entered next to a span keeps a map of its entry: how many
-    tags it sees on each side, and the `(score vector, tag-context feature
-    ids)` that `score` gave each visible context of its pairs.  An entry
-    scores only the contexts that neither it nor the position's previous
-    entry at the same offsets scored.  No context is scored twice in a
-    search: while the offsets stay, a span next to the position grows only
-    away from it, and each new hypothesis keeps the near tags of an old one,
-    so a context that leaves an entry never comes back.  A first entry sees
-    no tags, a context that never comes back either, and keeps no map; a
-    committed position's map is dropped.  The maps hold references to the
-    vectors of cache entries, not copies: when choose runs, every untagged
-    position has just been entered, so every mapped vector belongs to a
-    cached entry, and `_refresh` keeps it exact at every column the search
-    reads.
+    A pair's visible context is (left, right): the last one or two tags of
+    its left hypothesis and the first one or two of its right one.
+    Hypotheses of one span often share them, and a position entered again
+    after a commit at the far end of a span next to it often sees the tags
+    it saw before.  So a position entered next to a span keeps a map of its
+    entry from each visible context of its pairs to the `(score vector,
+    tag-context feature ids)` that `score` gave it.  An entry scores only
+    the contexts that neither it nor the position's previous entry scored;
+    a context seen at other offsets has other tuple lengths, so it never
+    matches.  No context is scored twice in a search: while the offsets
+    stay, a span next to the position grows only away from it, and each new
+    hypothesis keeps the near tags of an old one, so a context that leaves
+    an entry never comes back.  A first entry sees no tags, a context that
+    never comes back either, and keeps no map; a committed position's map
+    is dropped.  The maps hold references to the vectors of cache entries,
+    not copies: when choose runs, every untagged position has just been
+    entered, so every mapped vector belongs to a cached entry, and
+    `_refresh` keeps it exact at every column the search reads.
     """
     n, T = len(scorer.words), scorer.T
     span_at: list[_Span | None] = [None] * n  # written at span edges only
     untagged = list(range(n))
     cache: dict[int, tuple] = {}
-    scored: dict[int, tuple] = {}  # position -> ((nl, nr), {visible tags: score result})
+    scored: dict[int, dict] = {}  # position -> {(left, right): score result}
     order: list[int] = []
 
     def entry(p):
         left = span_at[p - 1] if p > 0 else None
         right = span_at[p + 1] if p < n - 1 else None
         if left is None and right is None:
-            return _entry([(None, None) + scorer.score(p, {})], cand_ids[p], T)
-        # How many tags each side shows: offset -2 (+2) only through -1 (+1).
-        nl = 0 if left is None else 2 if p - 2 >= left.start else 1
-        nr = 0 if right is None else 2 if p + 2 <= right.end else 1
-        # The tags of p - nl .. p - 1 and p + 1 .. p + nr, in that order,
-        # name a context of shape (nl, nr); a map of another shape holds
-        # contexts at other offsets, which this entry cannot use.
-        kept = scored.get(p)
-        before = kept[1] if kept and kept[0] == (nl, nr) else {}
-        seen = {}
-        scored[p] = (nl, nr), seen
+            return _entry([(None, None) + scorer.score(p)], cand_ids[p], T)
+        before = scored.get(p, {})
+        seen = scored[p] = {}
         pairs = []
+        # A hypothesis holds the tags of its whole span, so its last (first)
+        # two tags are those p sees through the contiguous run.
         for lh in (left.hyps if left else [None]):
-            lt = lh[1][-nl:] if lh else ()
+            lt = lh[1][-2:] if lh else ()
             for rh in (right.hyps if right else [None]):
-                rt = rh[1][:nr] if rh else ()
-                key = lt + rt
+                rt = rh[1][:2] if rh else ()
+                key = lt, rt
                 result = seen.get(key)
                 if result is None:
                     result = before.get(key)
                     if result is None:
-                        visible = {}
-                        if nl:
-                            visible[p - 1] = lt[-1]
-                            if nl == 2:
-                                visible[p - 2] = lt[0]
-                        if nr:
-                            visible[p + 1] = rt[0]
-                            if nr == 2:
-                                visible[p + 2] = rt[1]
-                        result = scorer.score(p, visible)
+                        result = scorer.score(p, lt, rt)
                     seen[key] = result
                 pairs.append((lh, rh) + result)
         return _entry(pairs, cand_ids[p], T)
@@ -925,7 +913,7 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
     assigned: dict[int, int] = {}
     total = 0.0
     for p in commit_order:
-        vec, _ = scorer.score(p, _visible_context(p, assigned))
+        vec, _ = scorer.score(p, *_visible_context(p, assigned))
         total += float(vec[tag_ids[p]])
         assigned[p] = tag_ids[p]
     return total

@@ -166,6 +166,14 @@ class TestWriteVertical:
         corpus, _ = generate_synthetic(cfg, seed)
         assert read_vertical(write_vertical(corpus)) == corpus
 
+    def test_roundtrip_bare_and_tagged(self):
+        """A bare surface is an untagged token, written back as a bare line."""
+        text = "a\nb\tX\n\nc\td\ne\n\n"
+        corpus = read_vertical(text)
+        assert [tok.gold_tag for tok in corpus.tokens()] == [None, "X", "d", None]
+        assert write_vertical(corpus) == text
+        assert read_vertical(write_vertical(corpus)) == corpus
+
 
 class TestWriteText:
     """write_text replaces a regular file whole, so a failed write leaves

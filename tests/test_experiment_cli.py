@@ -356,6 +356,7 @@ class TestCliTrainTag:
         ("train", ["--lexicon-features", "on"], "lexicon features need a lexicon"),
         ("train", ["--lexicon-features", "on", "--lexicon", "L", "--rules-mode", "soft"],
          "rule-filtered lexicon features need rules"),
+        ("tag", ["--hard-rules", "on"], "error: --hard-rules on requires --rules"),
     ])
     def test_candidates_need_their_inputs(self, command, flags, message, dataset, tmp_path,
                                           capsys):
@@ -634,6 +635,19 @@ class TestCliLemmatize:
                      "--input", str(inp), "--output", str(out)]) == 0
         assert "плетох\tV1\tплета" in out.read_text()
 
+    def test_bare_surface_exits_2(self, tmp_path, capsys):
+        """A token without a tag has nothing to lemmatize with."""
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("четох\tV1\tчета\n")
+        inp = tmp_path / "in.tsv"
+        inp.write_text("плетох\tV1\nчетох\n")
+        out = tmp_path / "out.tsv"
+        assert main(["lemmatize", "--lexicon", str(lex),
+                     "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: token 'четох' has no tag to lemmatize with"]
+        assert not out.exists()
+
     def test_input_needs_output(self, tmp_path):
         lex = tmp_path / "lex.tsv"
         lex.write_text("четох\tV1\tчета\n")
@@ -668,6 +682,17 @@ class TestCliStats:
                      "--lexicon", str(dataset / "lex.tsv"),
                      "--check-lexicon"]) == 0
         assert "lexicon_violations\t0" in capsys.readouterr().out
+
+    def test_check_lexicon_prints_the_first_20_violations(self, tmp_path, capsys):
+        corpus, lex = tmp_path / "corpus.tsv", tmp_path / "lex.tsv"
+        corpus.write_text("".join(f"w{k}\tY\n" for k in range(25)) + "\n")
+        lex.write_text("w0\tX\n")
+        assert main(["stats", "--corpus", str(corpus), "--lexicon", str(lex),
+                     "--check-lexicon"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "lexicon_violations\t25" in out
+        assert [line for line in out if line.startswith("violation\t")] == [
+            f"violation\tw{k}\tY" for k in range(20)]
 
 
 class TestCliGenSynthetic:

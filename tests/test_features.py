@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,29 +94,41 @@ class TestWordFeatures:
 
 
 class TestTagFeatures:
-    def test_empty_when_nothing_assigned(self):
-        assert tag_features(["а", "б"], 0, {}) == []
+    # Every template, in order, with (left, right) = (("X2", "X1"), ("Y1", "Y2")).
+    FULL = ["t-1=X1", "t-2=X2", "t+1=Y1", "t+2=Y2", "t-2,t-1=X2|X1", "t+1,t+2=Y1|Y2",
+            "t-1,t+1=X1|Y1", "w0t-1=в|X1", "w0t+1=в|Y1"]
 
-    def test_distant_neighbour_visible(self):
-        feats = tag_features(["а", "б", "в"], 2, {0: "X"})
-        assert feats == ["t-2=X"]
+    def test_empty_when_nothing_assigned(self):
+        assert tag_features(["а", "б"], 0) == []
+        assert tag_features(["а", "б"], 0, (), ()) == []
+
+    @pytest.mark.parametrize("nl, nr", itertools.product(range(3), range(3)))
+    def test_every_context_shape(self, nl, nr):
+        """The nearest `nl` tags on the left and `nr` on the right fire
+        exactly the templates whose offsets they all cover, in order."""
+        left, right = ("X2", "X1")[2 - nl:], ("Y1", "Y2")[:nr]
+        visible = {f"t-{k}" for k in range(1, nl + 1)} | {f"t+{k}" for k in range(1, nr + 1)}
+        expected = [f for f in self.FULL
+                    if set(re.findall(r"t[-+]\d", f.split("=")[0])) <= visible]
+        assert tag_features(["а", "б", "в", "г", "д"], 2, left, right) == expected
 
     def test_pair_templates(self):
-        feats = tag_features(["а", "б", "в"], 1, {0: "X", 2: "Y"})
+        feats = tag_features(["а", "б", "в"], 1, ("X",), ("Y",))
         assert "t-1,t+1=X|Y" in feats
         assert "w0t-1=б|X" in feats and "w0t+1=б|Y" in feats
 
     @settings(max_examples=60)
     @given(words_strategy, st.data())
     def test_monotone_in_assignment(self, words, data):
+        """Seeing fewer tags, nearest kept, fires a subset of the features."""
         i = data.draw(st.integers(0, len(words) - 1))
-        others = [j for j in range(len(words)) if j != i]
-        assigned = data.draw(st.lists(st.sampled_from(others or [0]),
-                                      unique=True) if others else st.just([]))
-        tags = {j: f"T{j}" for j in assigned}
-        full = set(tag_features(words, i, tags))
-        sub = {j: t for j, t in tags.items() if j in set(assigned[:1])}
-        assert set(tag_features(words, i, sub)) <= full
+        nl = data.draw(st.integers(0, min(2, i)))
+        nr = data.draw(st.integers(0, min(2, len(words) - 1 - i)))
+        left = tuple(f"T{j}" for j in range(i - nl, i))
+        right = tuple(f"T{j}" for j in range(i + 1, i + 1 + nr))
+        full = set(tag_features(words, i, left, right))
+        kl, kr = data.draw(st.integers(0, nl)), data.draw(st.integers(0, nr))
+        assert set(tag_features(words, i, left[nl - kl:], right[:kr])) <= full
 
 
 class TestDistinctFeatures:
@@ -131,11 +146,10 @@ class TestDistinctFeatures:
            st.one_of(st.none(), st.frozensets(tag, max_size=4)), st.booleans(), st.data())
     def test_no_repeated_string(self, words, suggested, use_lexicon, data):
         i = data.draw(st.integers(0, len(words) - 1))
-        near = [j for j in range(i - 2, i + 3) if j != i and 0 <= j < len(words)]
-        visible = data.draw(st.dictionaries(st.sampled_from(near), self.tag)
-                            if near else st.just({}))
+        left = tuple(data.draw(st.lists(self.tag, max_size=min(2, i))))
+        right = tuple(data.draw(st.lists(self.tag, max_size=min(2, len(words) - 1 - i))))
         cfg = FeatureConfig(use_lexicon_features=use_lexicon)
-        feats = word_features(words, i, cfg, suggested) + tag_features(words, i, visible)
+        feats = word_features(words, i, cfg, suggested) + tag_features(words, i, left, right)
         assert len(set(feats)) == len(feats), feats
 
 

@@ -61,16 +61,16 @@ def ref_search(words, cand_ids, suggested, cfg, tags, rows, beam, choose):
             pairs = []
             for lh in left[2] if left else [None]:
                 for rh in right[2] if right else [None]:
-                    visible = {}
+                    lt = rt = ()
                     if lh is not None:
-                        visible[p - 1] = tags[lh[1][-1]]
+                        lt = (tags[lh[1][-1]],)
                         if p - 2 >= left[0]:
-                            visible[p - 2] = tags[lh[1][-2]]
+                            lt = (tags[lh[1][-2]],) + lt
                     if rh is not None:
-                        visible[p + 1] = tags[rh[1][0]]
+                        rt = (tags[rh[1][0]],)
                         if p + 2 <= right[1]:
-                            visible[p + 2] = tags[rh[1][1]]
-                    feats = static[p] + tag_features(words, p, visible)
+                            rt += (tags[rh[1][1]],)
+                    feats = static[p] + tag_features(words, p, lt, rt)
                     pairs.append((lh, rh, ref_score(rows, T, feats), feats))
             for pair in pairs:
                 for c in cand_ids[p]:

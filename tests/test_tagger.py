@@ -351,6 +351,19 @@ class TestDecoding:
                     replay = rescore(s, tags, order, model, lex, rules)
                     assert replay == pytest.approx(score, abs=1e-9)
 
+    def test_rescore_rejects_a_bad_order_or_tag_count(self):
+        corpus, lex = small_setup(sentences=10)
+        model, _ = train(corpus, lex, topts=TrainOptions(epochs=1))
+        s = next(s for s in corpus.sentences if len(s.tokens) >= 2)
+        tags, _, _, order = decode_with_trace(s, model, lex)
+        for bad in (order[:-1], order + order[:1], [order[0]] * len(order),
+                    [p + 1 for p in order]):
+            with pytest.raises(ValueError, match="not a permutation of positions"):
+                rescore(s, tags, bad, model, lex)
+        for bad in (tags[:-1], tags + tags[:1]):
+            with pytest.raises(ValueError, match="length mismatch"):
+                rescore(s, bad, order, model, lex)
+
     def test_wide_beam_exact_on_two_tokens(self):
         # with an unpruned beam the reported score must equal the best
         # replay over all tag pairs under the chosen commit order
@@ -609,15 +622,10 @@ class TestScoreCacheExact:
         A hypothesis holds the tags of its whole span, so its last (first)
         two tags are the ones i sees at -2, -1 (+1, +2)."""
         tags = scorer.model.inventory.tags
-        visible = {}
-        if lh is not None:
-            for k, t in enumerate(reversed(lh[1][-2:]), 1):
-                visible[i - k] = tags[t]
-        if rh is not None:
-            for k, t in enumerate(rh[1][:2], 1):
-                visible[i + k] = tags[t]
+        left = [tags[t] for t in lh[1][-2:]] if lh is not None else []
+        right = [tags[t] for t in rh[1][:2]] if rh is not None else []
         ids = scorer.model.feature_ids
-        return [ids[f] for f in tag_features(scorer.words, i, visible) if f in ids]
+        return [ids[f] for f in tag_features(scorer.words, i, left, right) if f in ids]
 
     def _check_entries(self, monkeypatch, checked, columns):
         """Check every pair of every `_entry` call at `columns(ids)`, and
@@ -625,8 +633,8 @@ class TestScoreCacheExact:
         made = {}  # id(score vector) -> (scorer, position) of the call that made it
         score, entry = tagger_mod._SentenceScorer.score, tagger_mod._entry
 
-        def recording(scorer, i, visible):
-            vec, dynamic = score(scorer, i, visible)
+        def recording(scorer, i, left=(), right=()):
+            vec, dynamic = score(scorer, i, left, right)
             made[id(vec)] = scorer, i
             checked["scores"] += 1
             return vec, dynamic
@@ -737,7 +745,7 @@ class TestScoreSharing:
     @pytest.mark.parametrize("source", ["lexicon", "all"])
     @pytest.mark.parametrize("beam", [1, 3, None])  # None: training alone
     def test_each_context_scored_once(self, source, beam, monkeypatch):
-        calls = Counter()  # (search, position, visible context) -> score calls
+        calls = Counter()  # (search, position, (left, right)) -> score calls
         searches = []
         search, score = tagger_mod._search, tagger_mod._SentenceScorer.score
 
@@ -745,9 +753,9 @@ class TestScoreSharing:
             searches.append(None)
             return search(*args)
 
-        def counting_score(scorer, i, visible):
-            calls[len(searches), i, tuple(sorted(visible.items()))] += 1
-            return score(scorer, i, visible)
+        def counting_score(scorer, i, left=(), right=()):
+            calls[len(searches), i, (tuple(left), tuple(right))] += 1
+            return score(scorer, i, left, right)
         monkeypatch.setattr(tagger_mod, "_search", counting_search)
         monkeypatch.setattr(tagger_mod._SentenceScorer, "score", counting_score)
         tokens = self._run(source, beam, calls.clear)
@@ -764,8 +772,8 @@ class TestScoreSharing:
         checked = Counter()
         search, score = tagger_mod._search, tagger_mod._SentenceScorer.score
 
-        def recording_score(scorer, i, visible):
-            vec, dynamic = score(scorer, i, visible)
+        def recording_score(scorer, i, left=(), right=()):
+            vec, dynamic = score(scorer, i, left, right)
             made.append((i, weakref.ref(vec)))
             return vec, dynamic
 
