@@ -12,11 +12,12 @@ after it, nearest first, at most two on each side, read only through a
 contiguous run of committed positions (offset -2 counts only when -1 is
 committed too).  That keeps every hypothesis' score exactly replayable
 from its commit order.  It also means a commit is seen only by the two
-untagged positions just outside the new span: the search caches every
-other position's best action and score vectors, and enters only those two
+untagged positions just outside the new span: the search's cache holds
+every untagged position, in position order, with its best action and
+score vectors, and a commit deletes its position and enters only those two
 again.
 A score vector is the sum of the position's static (surface and lexicon)
-weight rows, built once per search, plus the rows of its tag-context
+weight rows, built before every search, plus the rows of its tag-context
 features.  A search scores each visible context of a position once:
 hypothesis pairs that see the same neighbour tags share one vector, and so
 does a re-entered position that sees the tags its previous entry saw.
@@ -150,9 +151,8 @@ class Model:
     file's arrays as its averaged table, with offsets 0 followed by the
     running sums of `lengths`, and has no raw weights; no dense table is
     built.  So it saves the bytes it was read from, whatever order the rows
-    were written in (files written before rows followed feature ids list
-    them in first-update order).  Decoding gives the same bits either way:
-    it looks rows up by feature string, and an absent feature, an empty row
+    were written in, and decodes with the same bits in any row order: it
+    looks rows up by feature string, and an absent feature, an empty row
     and a zero cell all add nothing to a score vector that starts at +0.0."""
 
     FORMAT_VERSION = 6
@@ -544,24 +544,24 @@ class _SentenceScorer:
     """Feature extraction and scoring for one sentence against one weight
     table.
 
-    Static (surface and lexicon) feature ids are computed once per position,
-    and so is the sum of their weight rows.  A query copies that sum and
-    adds the rows of its tag-context features.  These are the float
-    additions of summing every row from +0.0, in the same order, so each
-    score is exact.  Static features read only `use_lexicon_features` of
+    Static (surface and lexicon) feature ids are computed once per position.
+    `static_sums` lists the sum of each position's static rows, and a query
+    copies that sum and adds the rows of its tag-context features.  These
+    are the float additions of summing every row from +0.0, in the same
+    order, so each score is exact.  Static features read only `use_lexicon_features` of
     `model.cfg`, which `for_training()` keeps.  Training reads the raw
     rows that its updates write, adding a dict row cell by cell in its
     stored order (a cell it does not hold would add +0.0, which changes no
-    sum that starts at +0.0, as in `SparseTable.sums`), interns unseen
-    features, and sums a position's static rows on its first scoring; a sum
-    stays valid while the table does, and after a change confined to two
-    columns, `refresh` recomputes those columns of a position's sum and of
-    its cached score vectors.  A position `_refresh` skips keeps a sum that
-    is stale outside its candidates, where no search reads it; training
-    drops the sums after every search.  Decoding and `rescore` read the
-    averaged `SparseTable` and skip unseen features: one `SparseTable.sums`
-    gives every position's static sum, and tag-context rows come from its
-    memo."""
+    sum that starts at +0.0, as in `SparseTable.sums`) and interns unseen
+    features.  Its `static_sums` is None between searches: `train` builds
+    the list with `score_vector` right before each search and drops it
+    after.  A sum stays valid while the table does, and after a change
+    confined to two columns, `refresh` recomputes those columns of a
+    position's sum and of its cached score vectors.  A position `_refresh`
+    skips keeps a sum that is stale outside its candidates, where no search
+    reads it.  Decoding and `rescore` read the averaged `SparseTable` and
+    skip unseen features: one `SparseTable.sums` gives every position's
+    static sum, and tag-context rows come from its memo."""
 
     def __init__(self, model: Model, words, suggested, training: bool = False):
         self.model = model
@@ -571,12 +571,13 @@ class _SentenceScorer:
         self.sparse = training and model.weights.sparse_cells > 0  # can a row be a dict?
         self.static_ids = [self._intern(word_features(words, i, model.cfg, suggested[i]))
                            for i in range(len(words))]
-        self.static_sums: dict[int, np.ndarray] = {}  # position -> sum of its static rows
+        # Position i -> the sum of its static rows; `train` sets it per search.
+        self.static_sums: list[np.ndarray] | None = None
         if training:
             self.row = model.weights.rows.get
         else:
             self.row = model.averaged.dense.__getitem__
-            self.static_sums.update(enumerate(model.averaged.sums(self.static_ids)))
+            self.static_sums = list(model.averaged.sums(self.static_ids))
 
     def _intern(self, feats) -> list[int]:
         ids = self.model.feature_ids
@@ -609,10 +610,7 @@ class _SentenceScorer:
         tags = self.model.inventory.tags
         dynamic = self._intern(tag_features(self.words, i, [tags[t] for t in left],
                                             [tags[t] for t in right]))
-        static = self.static_sums.get(i)
-        if static is None:
-            static = self.static_sums[i] = self.score_vector(self.static_ids[i])
-        return self._add_rows(static.copy(), dynamic), dynamic
+        return self._add_rows(self.static_sums[i].copy(), dynamic), dynamic
 
     def refresh(self, i: int, pairs, g: int, c: int):
         """Recompute columns g and c of position i's static sum and of each
@@ -726,10 +724,11 @@ def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
     other position gets the entry a full rescore would give it.
 
     The search's maps of scored contexts (see `_search`) hold only vectors
-    of cached entries when an update runs, since every untagged position
-    has just been entered, so this refreshes every vector that a later
-    entry of the same position may reuse, and a reused vector is exact at
-    every column the search reads."""
+    of cached entries when an update runs, since the search enters every
+    position before its first step and the neighbours of each commit at
+    the commit, so this refreshes every vector that a later entry of the
+    same position may reuse, and a reused vector is exact at every column
+    the search reads."""
     T = scorer.T
     for q, e in cache.items():
         ids = cand_ids[q]
@@ -742,11 +741,16 @@ def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
 def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     """Easiest-first beam search; returns (tag ids, score, commit order).
 
-    Each step finds the best action (p, c) over all untagged positions and
-    calls choose(p, c, cache).  `cache` maps every untagged position to its
+    `cache` maps every untagged position, in position order, to its
     `_entry`; a pair is (left hypothesis, right hypothesis, score vector,
-    tag-context feature ids).  choose returns the tags the commit may keep
-    at p, or None to repeat the step, after bringing the cache up to date.
+    tag-context feature ids), and the side with no span next to the
+    position has the empty hypothesis (0.0, ()).  Every position is entered
+    before the first step.  Each step finds the best action (p, c) over the
+    cache, the earliest position winning a tie, and calls
+    choose(p, c, cache).  choose returns the tags the commit may keep at p,
+    or None to repeat the step, after bringing the cache up to date.  A
+    commit deletes p from the cache and enters again the untagged positions
+    just outside the new span, in place, so the cache keeps position order.
     A step at which no untagged position has a finite best score raises
     FloatingPointError.
 
@@ -770,42 +774,38 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     `_refresh` keeps it exact at every column the search reads.
     """
     n, T = len(scorer.words), scorer.T
-    span_at: list[_Span | None] = [None] * n  # written at span edges only
-    untagged = list(range(n))
-    cache: dict[int, tuple] = {}
+    # Written at span edges only.  Slot n is never written, so it is the
+    # empty neighbour of both sentence edges: span_at[-1] reads it too.
+    span_at: list[_Span | None] = [None] * (n + 1)
+    empty = (0.0, ())  # the hypothesis of a side with no span
     scored: dict[int, dict] = {}  # position -> {(left, right): score result}
     order: list[int] = []
 
     def entry(p):
-        left = span_at[p - 1] if p > 0 else None
-        right = span_at[p + 1] if p < n - 1 else None
+        left, right = span_at[p - 1], span_at[p + 1]
         if left is None and right is None:
-            return _entry([(None, None) + scorer.score(p)], cand_ids[p], T)
+            return _entry([(empty, empty) + scorer.score(p)], cand_ids[p], T)
         before = scored.get(p, {})
         seen = scored[p] = {}
         pairs = []
         # A hypothesis holds the tags of its whole span, so its last (first)
         # two tags are those p sees through the contiguous run.
-        for lh in (left.hyps if left else [None]):
-            lt = lh[1][-2:] if lh else ()
-            for rh in (right.hyps if right else [None]):
-                rt = rh[1][:2] if rh else ()
-                key = lt, rt
+        for lh in (left.hyps if left else (empty,)):
+            for rh in (right.hyps if right else (empty,)):
+                key = lh[1][-2:], rh[1][:2]
                 result = seen.get(key)
                 if result is None:
                     result = before.get(key)
                     if result is None:
-                        result = scorer.score(p, lt, rt)
+                        result = scorer.score(p, *key)
                     seen[key] = result
                 pairs.append((lh, rh) + result)
         return _entry(pairs, cand_ids[p], T)
 
-    while untagged:
+    cache = {q: entry(q) for q in range(n)}
+    while cache:
         p, top = None, (-np.inf,)
-        for q in untagged:
-            e = cache.get(q)
-            if e is None:
-                e = cache[q] = entry(q)
+        for q, e in cache.items():
             if e[0] > top[0]:
                 p, top = q, e
         if p is None:  # every best score is -inf or NaN
@@ -819,9 +819,7 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         # survive the cut.
         merged = []
         for lh, rh, vec, _ in top[3]:
-            base = (lh[0] if lh else 0.0) + (rh[0] if rh else 0.0)
-            ltags = lh[1] if lh else ()
-            rtags = rh[1] if rh else ()
+            base, ltags, rtags = lh[0] + rh[0], lh[1], rh[1]
             if len(keep) == T:
                 # The same float sums as the loop below, in a fresh array
                 # that _top_tags may overwrite.
@@ -831,12 +829,11 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
                 for c in keep:
                     merged.append((base + float(vec[c]), ltags + (c,) + rtags))
         merged.sort(key=lambda h: (-h[0], h[1]))
-        left = span_at[p - 1] if p > 0 else None
-        right = span_at[p + 1] if p < n - 1 else None
+        left, right = span_at[p - 1], span_at[p + 1]
         span = _Span(left.start if left else p, right.end if right else p,
                      merged[:beam])
         span_at[span.start] = span_at[span.end] = span
-        untagged.remove(p)
+        del cache[p]
         order.append(p)
         scored.pop(p, None)
         # Context is seen only through a contiguous committed run, so only
@@ -844,8 +841,9 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         # since their cached pairs hold the span's old hypotheses; their maps
         # let the new entries share the vectors of contexts that did not
         # change.
-        for q in (p, span.start - 1, span.end + 1):
-            cache.pop(q, None)
+        for q in (span.start - 1, span.end + 1):
+            if q in cache:
+                cache[q] = entry(q)
     final = span_at[0]
     assert final is not None and final.start == 0 and final.end == n - 1
     score, tags = final.hyps[0]
@@ -1009,13 +1007,14 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 _refresh(scorer, cache, sent_cands[i], gold[p], c)
                 return None
 
+            # Updates change the table between searches, so each search
+            # gets fresh static sums; releasing them keeps memory flat.
+            scorer.static_sums = [scorer.score_vector(ids) for ids in scorer.static_ids]
             try:
                 _search(scorer, sent_cands[i], 1, choose)
             except FloatingPointError:
                 raise ConfigError(diverged) from None
-            # Later updates change the table, so the next search rebuilds
-            # the static sums; releasing them keeps memory flat.
-            scorer.static_sums.clear()
+            scorer.static_sums = None
             total_tokens += len(gold)
             clean_tokens += len(gold) - len(dirty)
         epoch_accuracy.append(clean_tokens / total_tokens)

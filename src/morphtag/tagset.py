@@ -201,11 +201,5 @@ class TagInventory:
     def __len__(self):
         return len(self.tags)
 
-    def __contains__(self, tag):
-        return tag in self.index
-
-    def __iter__(self):
-        return iter(self.tags)
-
     def id(self, tag: str) -> int:
         return self.index[tag]

@@ -21,7 +21,7 @@ from morphtag.experiment import parse_spec
 from morphtag.lexicon import Lexicon, dump_lexicon, load_lexicon
 from morphtag.rules import format_rules, parse_rules
 from morphtag.synthetic import (SyntheticConfig, derive_safe_rules, generate_lemma_lexicon,
-                                generate_synthetic, split_corpus)
+                                generate_synthetic, split_corpus, synthetic_tags)
 from morphtag.tagset import parse_schema
 
 
@@ -361,6 +361,23 @@ class TestSyntheticGenerator:
             SyntheticConfig(vocab_size=0)
         with pytest.raises(ConfigError):
             SyntheticConfig(ambiguity_rate=1.5)
+        for bad in (dict(tag_count=0), dict(sentence_count=-1),
+                    dict(min_sentence_len=5, max_sentence_len=4)):
+            with pytest.raises(ConfigError):
+                SyntheticConfig(**bad)
+        with pytest.raises(ConfigError, match="counts must be >= 1"):
+            generate_lemma_lexicon(0, 6, 8, 3)
+
+    def test_one_tag_fully_ambiguous(self):
+        """With one tag, an ambiguous word cannot get two: every word has
+        the one tag."""
+        cfg = SyntheticConfig(tag_count=1, vocab_size=30, sentence_count=10,
+                              ambiguity_rate=1.0)
+        corpus, lexicon = generate_synthetic(cfg, 3)
+        tag = synthetic_tags(1)[0]
+        assert len(lexicon.entries) == 30
+        assert all(lexicon.tags(w) == {tag} for w in lexicon.entries)
+        assert {tok.gold_tag for tok in corpus.tokens()} == {tag}
 
     def test_split(self):
         cfg = SyntheticConfig(tag_count=5, vocab_size=20, sentence_count=10)
@@ -368,3 +385,5 @@ class TestSyntheticGenerator:
         train, test = split_corpus(corpus, (0.8, 0.2))
         assert len(train.sentences) == 8 and len(test.sentences) == 2
         assert train.sentences + test.sentences == corpus.sentences
+        with pytest.raises(ConfigError, match="sum to"):
+            split_corpus(corpus, (0.8, 0.1))

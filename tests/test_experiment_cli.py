@@ -99,7 +99,8 @@ class TestSpecParsing:
         # written.
         for rows, line in (("row: id=1 lexicon_feature=on\n", 3), ("row: id=2 bema=3\n", 3),
                            ("row: id=1\nrow: id=1 beam=2\n", 4),
-                           ("row: id=1 beam=2 beam=3\n", 3), ("row: id=1 id=2\n", 3)):
+                           ("row: id=1 beam=2 beam=3\n", 3), ("row: id=1 id=2\n", 3),
+                           ("row: id=1 beam\n", 3), ("row: id=1 beam=0\n", 3)):
             with pytest.raises(FormatError) as info:
                 parse_spec("train=x\ntest=y\n" + rows, path="grid.spec")
             assert str(info.value).startswith(f"grid.spec:{line}: ")
@@ -571,6 +572,17 @@ class TestCliBaseline:
                      "--train", str(dataset / "train.tsv"),
                      "--test", str(dataset / "test.tsv")]) == 3
 
+    def test_guesser_reads_the_given_table(self, tmp_path, capsys):
+        """Both test words are unknown; the table guesses B for a final `b`
+        and C for everything else, so it tags both right."""
+        train, test, table = (tmp_path / name for name in ("train.tsv", "test.tsv", "g.tsv"))
+        train.write_text("a\tA\n\n", encoding="utf-8")
+        test.write_text("b\tB\nc\tC\n\n", encoding="utf-8")
+        table.write_text("b\tB\nDEFAULT\tC\n", encoding="utf-8")
+        assert main(["baseline", "mft-guesser", "--train", str(train), "--test", str(test),
+                     "--guesser", str(table)]) == 0
+        assert capsys.readouterr().out == "mft-guesser\ttoken accuracy\t100.00\n"
+
 
 class TestCliExperiment:
     def test_spec_run(self, dataset, tmp_path, capsys, caplog):
@@ -676,6 +688,15 @@ class TestCliStats:
     def test_ambiguity_needs_lexicon(self, dataset):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),
                      "--ambiguity"]) == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--audit-rules", "--lexicon", "L"], "--audit-rules requires --lexicon and --rules"),
+        (["--check-lexicon"], "--check-lexicon requires --lexicon"),
+    ])
+    def test_audit_needs_its_inputs(self, flags, message, dataset, capsys):
+        flags = [str(dataset / "lex.tsv") if f == "L" else f for f in flags]
+        assert main(["stats", "--corpus", str(dataset / "train.tsv"), *flags]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_check_lexicon(self, dataset, capsys):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),

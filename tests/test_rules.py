@@ -76,6 +76,10 @@ class TestParse:
         "RULE r\nIF 0 NUMERAL\nTHEN RETAIN A\n",                 # unterminated
         "RULE r\nRULE s\n",                                      # nested RULE
         "bogus\n",                                               # unknown keyword
+        "RULE r\nIF 0\nTHEN RETAIN A\nEND\n",                    # no condition
+        "RULE r\nIF 0 CLASS-IS ;\nTHEN RETAIN A\nEND\n",         # empty argument
+        "THEN RETAIN A\n",                                       # THEN outside block
+        "RULE r\nIF 0 NUMERAL\nTHEN RETAIN ,\nEND\n",            # empty pattern set
     ])
     def test_rejects(self, text):
         with pytest.raises(FormatError):

@@ -334,6 +334,22 @@ class TestDecoding:
             for i, step in enumerate(trace):
                 assert set(step.available) == set(range(len(s.tokens))) - set(order[:i])
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_ties_commit_in_position_order(self, beam):
+        """An untrained model scores every action 0.0, so every step is a
+        tie, which the earliest untagged position wins.  The search keeps
+        its untagged positions in position order, also those it enters
+        again after a commit next to them."""
+        model = Model(TagInventory(["A", "B", "C"]), FeatureConfig(use_lexicon_features=False))
+        s = sent("a", "b", "a", "c", "d", "b")
+        _, score, trace, order = decode_with_trace(s, model,
+                                                   dopts=DecodeOptions(beam_size=beam))
+        assert score == 0.0
+        assert order == list(range(len(s.tokens)))
+        for step in trace:
+            assert list(step.available) == list(range(step.position, len(s.tokens)))
+            assert step.tag_id == 0 and set(step.available.values()) == {0.0}
+
     def test_score_matches_rescore_replay(self):
         """Rescoring reads the model's config as decoding does, so a
         test-only model replays with its suggestions rule-filtered."""
@@ -622,8 +638,8 @@ class TestScoreCacheExact:
         A hypothesis holds the tags of its whole span, so its last (first)
         two tags are the ones i sees at -2, -1 (+1, +2)."""
         tags = scorer.model.inventory.tags
-        left = [tags[t] for t in lh[1][-2:]] if lh is not None else []
-        right = [tags[t] for t in rh[1][:2]] if rh is not None else []
+        left = [tags[t] for t in lh[1][-2:]]
+        right = [tags[t] for t in rh[1][:2]]
         ids = scorer.model.feature_ids
         return [ids[f] for f in tag_features(scorer.words, i, left, right) if f in ids]
 

@@ -92,8 +92,16 @@ class TestSchemaParsing:
         ("N * a=1\nV * a=1 b=2 syntax=a syntax=b\n", 2, "duplicate field 'syntax'"),
         ("N 0,-3 a=1\n", 1, "tag lengths must be >= 1, got '0,-3'"),
         ("N 5,0\n", 1, "tag lengths must be >= 1, got '5,0'"),
+        ("N * a=1\nnn * b=2\n", 2, "bad class letter 'nn'"),
+        ("N\n", 1, "class line needs a length declaration"),
+        ("N 5,x a=1\n", 1, "bad lengths '5,x'"),
+        ("N * a=1 b\n", 1, "expected name=value, got 'b'"),
+        ("N * a=1,x\n", 1, "bad positions in 'a=1,x'"),
+        ("N * a=1\nV * a=0\n", 2, "class V: field a uses position 0 "
+                                  "(the class letter at position 0 cannot be a field)"),
     ])
     def test_repeated_setting_or_length_below_one(self, text, line, message):
+        """Every malformed line is reported as path:line and its fault."""
         with pytest.raises(FormatError) as exc:
             parse_schema(text, "s.txt")
         assert str(exc.value) == f"s.txt:{line}: {message}"
