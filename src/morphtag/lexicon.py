@@ -11,7 +11,8 @@ from collections import Counter
 from itertools import chain
 
 from .corpus import Corpus, Sentence, _has_space, text_lines
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
+from .tagset import is_valid_tag
 
 
 class Lexicon:
@@ -120,12 +121,18 @@ def ambiguity_stats(lexicon: Lexicon, corpus: Corpus, rules=None,
     Candidate sets come from the lexicon, optionally reduced by a rule
     cascade; out-of-lexicon tokens count as having a single tag.  A token is
     punctuation when its gold tag (or, lacking one, every lexicon tag) is in
-    the punctuation class.  Without rules, or in a sentence that no rule can
-    visit, a token's count depends only on its surface and gold tag, so each
-    distinct pair is counted once, from the lexicon's own set.  No set is
-    copied or mutated.
+    the punctuation class.  The class is None (no token is punctuation) or
+    one class letter, as a tag's first character: an uppercase letter, else
+    ConfigError.  Without rules, or in a sentence that no rule can visit, a
+    token's count depends only on its surface and gold tag, so each distinct
+    pair is counted once, from the lexicon's own set.  No set is copied or
+    mutated.
     """
     from .rules import _visits, apply_cascade  # local import to avoid a cycle
+
+    if punct_class is not None and not (len(punct_class) == 1 and is_valid_tag(punct_class)):
+        raise ConfigError(f"the punctuation class must be one uppercase letter, "
+                          f"not {punct_class!r}")
 
     plain, swept = [], []
     for sent in corpus:

@@ -20,7 +20,8 @@ A score vector is the sum of the position's static (surface and lexicon)
 weight rows, built before every search, plus the rows of its tag-context
 features.  A search scores each visible context of a position once:
 hypothesis pairs that see the same neighbour tags share one vector, and so
-does a re-entered position that sees the tags its previous entry saw.
+does a re-entered position that sees the tags its previous entry saw: it
+finds them among the pairs of the entry it replaces.
 
 Ties are broken the same way everywhere: a position's best tag is the
 lowest tag id among its highest scores, the earliest position wins among
@@ -669,19 +670,18 @@ class TraceStep:
 
 def _entry(pairs, ids, T: int) -> tuple:
     """A position's cache entry from the score vectors of its hypothesis
-    pairs: (best score, best tag, the pair that scored it, pairs).
+    pairs: (best score, best tag, pairs).
 
     Candidate ids are sorted and unique, so a list of length T is the full
     inventory, and argmax (which returns the first maximum, as the loop's
     strict > keeps it) replaces the loop."""
-    best, best_c, best_pair = -np.inf, -1, None
+    best, best_c = -np.inf, -1
     full = len(ids) == T
-    for pair in pairs:
-        vec = pair[2]
+    for _, _, vec, _ in pairs:
         for c in (int(vec.argmax()),) if full else ids:
             if vec[c] > best:
-                best, best_c, best_pair = float(vec[c]), c, pair
-    return best, best_c, best_pair, pairs
+                best, best_c = float(vec[c]), c
+    return best, best_c, pairs
 
 
 def _top_tags(scores: np.ndarray, beam: int) -> list[tuple[float, int]]:
@@ -721,21 +721,16 @@ def _refresh(scorer: _SentenceScorer, cache: dict, cand_ids, g: int, c: int):
     later `score` of the position copies its static sum, so the staleness
     reaches only vectors read at those same candidates; the position an
     update was made at holds both columns and is always refreshed.  Every
-    other position gets the entry a full rescore would give it.
-
-    The search's maps of scored contexts (see `_search`) hold only vectors
-    of cached entries when an update runs, since the search enters every
-    position before its first step and the neighbours of each commit at
-    the commit, so this refreshes every vector that a later entry of the
-    same position may reuse, and a reused vector is exact at every column
-    the search reads."""
+    other position gets the entry a full rescore would give it.  A vector
+    that a later entry of the same position reuses is one of its cached
+    pairs' vectors, which this loop refreshes."""
     T = scorer.T
     for q, e in cache.items():
         ids = cand_ids[q]
         if len(ids) < T and g not in ids and c not in ids:
             continue
-        scorer.refresh(q, e[3], g, c)
-        cache[q] = _entry(e[3], ids, T)
+        scorer.refresh(q, e[2], g, c)
+        cache[q] = _entry(e[2], ids, T)
 
 
 def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
@@ -758,47 +753,39 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
     its left hypothesis and the first one or two of its right one.
     Hypotheses of one span often share them, and a position entered again
     after a commit at the far end of a span next to it often sees the tags
-    it saw before.  So a position entered next to a span keeps a map of its
-    entry from each visible context of its pairs to the `(score vector,
-    tag-context feature ids)` that `score` gave it.  An entry scores only
-    the contexts that neither it nor the position's previous entry scored;
-    a context seen at other offsets has other tuple lengths, so it never
-    matches.  No context is scored twice in a search: while the offsets
-    stay, a span next to the position grows only away from it, and each new
-    hypothesis keeps the near tags of an old one, so a context that leaves
-    an entry never comes back.  A first entry sees no tags, a context that
-    never comes back either, and keeps no map; a committed position's map
-    is dropped.  The maps hold references to the vectors of cache entries,
-    not copies: when choose runs, every untagged position has just been
-    entered, so every mapped vector belongs to a cached entry, and
-    `_refresh` keeps it exact at every column the search reads.
+    it saw before.  So an entry scores only the contexts that neither it
+    nor the entry it replaces has scored: a re-entry finds its old contexts
+    among the pairs of that entry, and shares their `(score vector,
+    tag-context feature ids)`.  A context seen at other offsets has other
+    tuple lengths, so it never matches.  No context is scored twice in a
+    search: while the offsets stay, a span next to the position grows only
+    away from it, and each new hypothesis keeps the near tags of an old
+    one, so a context that leaves an entry never comes back.  A first entry
+    sees no tags, a context that never comes back either.
     """
     n, T = len(scorer.words), scorer.T
     # Written at span edges only.  Slot n is never written, so it is the
     # empty neighbour of both sentence edges: span_at[-1] reads it too.
     span_at: list[_Span | None] = [None] * (n + 1)
     empty = (0.0, ())  # the hypothesis of a side with no span
-    scored: dict[int, dict] = {}  # position -> {(left, right): score result}
     order: list[int] = []
 
-    def entry(p):
+    def entry(p, old=()):
         left, right = span_at[p - 1], span_at[p + 1]
+        # A first entry sees no tags: one pair, with nothing to share.  It
+        # skips the map, which costs 3-5% of training time.
         if left is None and right is None:
             return _entry([(empty, empty) + scorer.score(p)], cand_ids[p], T)
-        before = scored.get(p, {})
-        seen = scored[p] = {}
-        pairs = []
         # A hypothesis holds the tags of its whole span, so its last (first)
         # two tags are those p sees through the contiguous run.
+        known = {(lh[1][-2:], rh[1][:2]): (vec, dynamic) for lh, rh, vec, dynamic in old}
+        pairs = []
         for lh in (left.hyps if left else (empty,)):
             for rh in (right.hyps if right else (empty,)):
                 key = lh[1][-2:], rh[1][:2]
-                result = seen.get(key)
+                result = known.get(key)
                 if result is None:
-                    result = before.get(key)
-                    if result is None:
-                        result = scorer.score(p, *key)
-                    seen[key] = result
+                    result = known[key] = scorer.score(p, *key)
                 pairs.append((lh, rh) + result)
         return _entry(pairs, cand_ids[p], T)
 
@@ -818,7 +805,7 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         # inventory only each pair's top `beam` tags by (-score, tag id) can
         # survive the cut.
         merged = []
-        for lh, rh, vec, _ in top[3]:
+        for lh, rh, vec, _ in top[2]:
             base, ltags, rtags = lh[0] + rh[0], lh[1], rh[1]
             if len(keep) == T:
                 # The same float sums as the loop below, in a fresh array
@@ -835,15 +822,14 @@ def _search(scorer: _SentenceScorer, cand_ids, beam: int, choose):
         span_at[span.start] = span_at[span.end] = span
         del cache[p]
         order.append(p)
-        scored.pop(p, None)
         # Context is seen only through a contiguous committed run, so only
         # the positions next to the span can see it.  They are entered again,
-        # since their cached pairs hold the span's old hypotheses; their maps
-        # let the new entries share the vectors of contexts that did not
+        # since their cached pairs hold the span's old hypotheses; each new
+        # entry shares the vectors of the old pairs whose context did not
         # change.
         for q in (span.start - 1, span.end + 1):
             if q in cache:
-                cache[q] = entry(q)
+                cache[q] = entry(q, cache[q][2])
     final = span_at[0]
     assert final is not None and final.start == 0 and final.end == n - 1
     score, tags = final.hyps[0]
@@ -899,7 +885,9 @@ def rescore(sentence: Sentence, tags, commit_order, model: Model,
     """Replay a commit order over a fixed assignment, summing action scores.
 
     Replaying decode's own commit order and output tags reproduces its
-    reported score (up to float association)."""
+    reported score (up to float association).  Raises ValueError when the
+    order is not a permutation of the positions, the tag count is not the
+    sentence length, or a tag is not in the model's inventory."""
     n = len(sentence.tokens)
     if sorted(commit_order) != list(range(n)):
         raise ValueError("commit_order is not a permutation of positions")
@@ -994,7 +982,8 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 # Passive-aggressive update on the violating action.
                 dirty.add(p)
                 guard += 1
-                _, _, (_, _, vec, dynamic), _ = cache[p]
+                # Training searches at beam 1, so the entry has one pair.
+                (_, _, vec, dynamic), = cache[p][2]
                 fids = scorer.static_ids[p] + dynamic
                 s_pred, s_gold = float(vec[c]), float(vec[gold[p]])
                 denom = 2.0 * len(fids)  # ||delta||^2: a position's features are distinct

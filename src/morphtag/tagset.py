@@ -202,4 +202,8 @@ class TagInventory:
         return len(self.tags)
 
     def id(self, tag: str) -> int:
-        return self.index[tag]
+        """The id of `tag`; ValueError if it is not in the inventory."""
+        i = self.index.get(tag)
+        if i is None:
+            raise ValueError(f"tag {tag!r} is not in the tag inventory")
+        return i

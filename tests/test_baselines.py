@@ -128,6 +128,8 @@ class TestUnknownStrategies:
             load_guesser("а\tN\n")
         with pytest.raises(FormatError):
             load_guesser("DEFAULT\tN\n")
+        with pytest.raises(ValueError, match="at least one rule"):
+            SuffixGuesser((), "X")
 
 
     def test_guesser_second_default_rejected(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import morphtag
 from conftest import make_corpus
 from morphtag.baselines import load_guesser
-from morphtag.corpus import (Token, read_vertical, stats, text_lines, write_text,
+from morphtag.corpus import (Sentence, Token, read_vertical, stats, text_lines, write_text,
                              write_vertical)
 from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.experiment import parse_spec
@@ -45,6 +45,10 @@ class TestToken:
     def test_empty_surface_rejected(self):
         with pytest.raises(ValueError):
             Token("")
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError, match="empty sentence"):
+            Sentence(())
 
 
 class TestReadVertical:

@@ -55,6 +55,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(corpus, [["X", "Y"]])
 
+    def test_untagged_gold_token_rejected(self):
+        with pytest.raises(ValueError, match="token 'б' has no gold tag"):
+            evaluate(make_corpus(["а/X", "б"]), [["X", "Y"]])
+
 
 class TestConfusionPairs:
     def test_ordering(self):

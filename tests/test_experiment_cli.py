@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from morphtag import experiment
 from morphtag.cli import main
 from morphtag.corpus import read_vertical, write_vertical
-from morphtag.errors import ConfigError, DataError, FormatError
+from morphtag.errors import ConfigError, DataError, FormatError, SchemaError
 from morphtag.evaluation import evaluate
 from morphtag.features import FeatureConfig
 from morphtag.experiment import (GridRow, format_results, parse_spec,
@@ -174,6 +174,15 @@ class TestRowErrors:
         spec.write_text(self.SPEC, encoding="utf-8")
         assert main(["experiment", "--spec", str(spec), "--base-dir", str(dataset)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_cli_internal_error_exits_4(self, dataset, tmp_path, monkeypatch, capsys):
+        """Any other package error is an internal invariant violation."""
+        self._fail_with(monkeypatch, SchemaError("unknown POS class 'Q'"))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC, encoding="utf-8")
+        assert main(["experiment", "--spec", str(spec), "--base-dir", str(dataset)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "internal error: row r7: unknown POS class 'Q'"]
 
     def test_exception_kept(self, dataset, monkeypatch):
         exc = FormatError("bad field", 4, "x.tsv")
@@ -697,6 +706,14 @@ class TestCliStats:
         flags = [str(dataset / "lex.tsv") if f == "L" else f for f in flags]
         assert main(["stats", "--corpus", str(dataset / "train.tsv"), *flags]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("punct_class", ["", "u"])
+    def test_punct_class_is_one_class_letter(self, punct_class, dataset, capsys):
+        assert main(["stats", "--corpus", str(dataset / "train.tsv"),
+                     "--lexicon", str(dataset / "lex.tsv"), "--ambiguity",
+                     "--punct-class", punct_class]) == 3
+        assert capsys.readouterr().err == (f"error: the punctuation class must be one "
+                                           f"uppercase letter, not {punct_class!r}\n")
 
     def test_check_lexicon(self, dataset, capsys):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),

@@ -69,6 +69,11 @@ class TestApplication:
 
     def test_identity_fallback(self):
         assert lemmatize("слово", "N1", LemmaRuleSet()) == "слово"
+        # A known tag whose rules match no suffix of the surface.
+        rules = LemmaRuleSet()
+        rules.add(LemmaRule("N1", "ове", ""))
+        assert rules.match("слово", "N1") is None
+        assert lemmatize("слово", "N1", rules) == "слово"
 
     def test_empty_old_end_appends(self):
         rules = LemmaRuleSet()

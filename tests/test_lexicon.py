@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_corpus, make_lexicon
 from morphtag.baselines import build_mft
-from morphtag.errors import DataError, FormatError
+from morphtag.errors import ConfigError, DataError, FormatError
 from morphtag.lexicon import ambiguity_stats, dump_lexicon, lexicon_sets, load_lexicon
 from morphtag.rules import audit_precision, parse_rules
 from morphtag.synthetic import SyntheticConfig, generate_lemma_lexicon, generate_synthetic
@@ -140,6 +140,13 @@ class TestAmbiguityStats:
         corpus = make_corpus(["a/X", ",/U,"])
         frac, mean = ambiguity_stats(lex, corpus, punct_class="U")
         assert (frac, mean) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("punct_class", ["", "u", "UV", ",", "Ü "])
+    def test_punctuation_class_is_one_uppercase_letter(self, punct_class):
+        """"" would make every token punctuation, and "u" none."""
+        lex = make_lexicon({"a": ["X", "Y"], ",": ["U,"]})
+        with pytest.raises(ConfigError, match="punctuation class"):
+            ambiguity_stats(lex, make_corpus(["a/X", ",/U,"]), punct_class=punct_class)
 
     def test_rules_reduce_ambiguity(self):
         lex = make_lexicon({"a": ["X", "Y"]})

@@ -379,6 +379,8 @@ class TestDecoding:
         for bad in (tags[:-1], tags + tags[:1]):
             with pytest.raises(ValueError, match="length mismatch"):
                 rescore(s, bad, order, model, lex)
+        with pytest.raises(ValueError, match="tag 'Q999' is not in the tag inventory"):
+            rescore(s, tags[:-1] + ["Q999"], order, model, lex)
 
     def test_wide_beam_exact_on_two_tokens(self):
         # with an unpruned beam the reported score must equal the best
@@ -713,7 +715,7 @@ class TestScoreCacheExact:
             refreshed.clear()
             refresh(scorer, cache, cand_ids, g, c)
             checked["updates"] += 1
-            for q, (best, best_c, _, pairs) in cache.items():
+            for q, (best, best_c, pairs) in cache.items():
                 ids = cand_ids[q]
                 if q in refreshed:
                     checked["refreshed"] += 1
@@ -780,10 +782,11 @@ class TestScoreSharing:
 
     @pytest.mark.parametrize("beam", [1, 3, None])
     def test_committed_positions_release_their_vectors(self, beam, monkeypatch):
-        """At every step, no score vector of a position committed before the
-        last commit is alive: the maps that share vectors are dropped with
-        their positions.  (The merge of the last commit may still hold the
-        vector it read last.)"""
+        """At every step, every live score vector made in the search is held
+        by a pair of a cached entry, or is the vector the merge of the last
+        commit read last: the cache is the search's only holder of vectors,
+        so no vector of a position committed before the last commit is
+        alive."""
         made = []  # (position, weak reference to its score vector) in this search
         checked = Counter()
         search, score = tagger_mod._search, tagger_mod._SentenceScorer.score
@@ -796,20 +799,30 @@ class TestScoreSharing:
         def checking_search(scorer, cand_ids, beam, choose):
             made.clear()
             committed = []
+            last_read = None  # weak reference to the vector the last merge read
 
             def checking_choose(p, c, cache):
+                nonlocal last_read
                 done = set(committed[:-1])
                 assert not [i for i, ref in made if i in done and ref() is not None]
+                held = {id(vec) for e in cache.values() for _, _, vec, _ in e[2]}
+                live = [vec for _, ref in made if (vec := ref()) is not None]
+                last = last_read and last_read()
+                assert all(id(vec) in held or vec is last for vec in live)
                 checked["steps"] += bool(done)
+                checked["unheld"] += any(id(vec) not in held for vec in live)
                 keep = choose(p, c, cache)
                 if keep is not None:
                     committed.append(p)
+                    # The merge reads the entry's pairs in order.
+                    last_read = weakref.ref(cache[p][2][-1][2])
                 return keep
             return search(scorer, cand_ids, beam, checking_choose)
         monkeypatch.setattr(tagger_mod, "_search", checking_search)
         monkeypatch.setattr(tagger_mod._SentenceScorer, "score", recording_score)
         tokens = self._run("lexicon", beam, checked.clear)
         assert checked["steps"] > tokens // 2
+        assert checked["unheld"] > 0  # the last merge's vector was seen alive
 
 
 @st.composite

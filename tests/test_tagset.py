@@ -42,10 +42,14 @@ class TestLemmaCompatible:
 
     def test_different_pos_class(self, schema):
         assert not lemma_compatible("Ansi", "Dm", schema)
+        assert not lemma_compatible("", "Ansi", schema)
+        assert not lemma_compatible("Ansi", "", schema)
 
     def test_unknown_class_raises(self, schema):
         with pytest.raises(SchemaError):
             lemma_compatible("Zzz", "Zzz", schema)
+        with pytest.raises(SchemaError, match="empty tag has no POS class"):
+            schema.layout("")
 
     @given(tags, tags)
     def test_symmetric(self, schema, a, b):
@@ -115,6 +119,8 @@ class TestTagInventory:
     def test_dense_contiguous_ids(self):
         inv = TagInventory(["Nc", "Vp", "Ak"])
         assert [inv.id(t) for t in inv.tags] == [0, 1, 2]
+        with pytest.raises(ValueError, match="tag 'Q' is not in the tag inventory"):
+            inv.id("Q")
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
