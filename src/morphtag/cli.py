@@ -21,7 +21,7 @@ from .lexicon import ambiguity_stats, dump_lexicon, load_lexicon
 from .lemmatizer import dump_rules, generate_rules, lemmatize
 from .rules import audit_precision, parse_rules
 from .synthetic import SyntheticConfig, generate_synthetic, split_corpus
-from .tagger import DecodeOptions, Model, TrainOptions, decode, train
+from .tagger import CANDIDATE_SOURCES, DecodeOptions, Model, TrainOptions, decode, train
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -132,8 +132,6 @@ def _cmd_lemmatize(args):
                           "--output requires --input")
     lexicon = load_lexicon(read_text(args.lexicon), args.lexicon)
     ruleset = generate_rules(lexicon)
-    if args.dump_rules:
-        write_text(args.dump_rules, dump_rules(ruleset))
     if args.check:
         right = [lemmatize(surface, tag, ruleset) == lemma
                  for surface, readings in lexicon.items() for tag, lemma in readings.items()]
@@ -152,6 +150,9 @@ def _cmd_lemmatize(args):
                 lines.append(f"{tok.surface}\t{tok.gold_tag}\t{lemma}")
             lines.append("")
         write_text(args.output, "\n".join(lines) + "\n")
+    # Written last, so a failed check or input leaves no rules file.
+    if args.dump_rules:
+        write_text(args.dump_rules, dump_rules(ruleset))
     return EXIT_OK
 
 
@@ -160,32 +161,31 @@ def _cmd_stats(args):
     lexicon = _load_optional(args.lexicon, load_lexicon)
     rules = _load_optional(args.rules, parse_rules)
     st = stats(corpus)
-    print(f"sentences\t{st.sentence_count}")
-    print(f"tokens\t{st.token_count}")
-    print(f"types\t{st.type_count}")
-    print(f"tag_types\t{st.tag_type_count}")
+    # The report is printed whole at the end, so a usage error prints none of it.
+    lines = [f"sentences\t{st.sentence_count}", f"tokens\t{st.token_count}",
+             f"types\t{st.type_count}", f"tag_types\t{st.tag_type_count}"]
     if args.ambiguity:
         if lexicon is None:
             raise ConfigError("--ambiguity requires --lexicon")
         frac, mean = ambiguity_stats(lexicon, corpus, None, args.punct_class)
-        print(f"ambiguous_fraction\t{frac:.4f}")
-        print(f"tags_per_token\t{mean:.4f}")
+        lines += [f"ambiguous_fraction\t{frac:.4f}", f"tags_per_token\t{mean:.4f}"]
         if rules is not None:
             frac_r, mean_r = ambiguity_stats(lexicon, corpus, rules, args.punct_class)
-            print(f"ambiguous_fraction_after_rules\t{frac_r:.4f}")
-            print(f"tags_per_token_after_rules\t{mean_r:.4f}")
+            lines += [f"ambiguous_fraction_after_rules\t{frac_r:.4f}",
+                      f"tags_per_token_after_rules\t{mean_r:.4f}"]
     if args.audit_rules:
         if lexicon is None or rules is None:
             raise ConfigError("--audit-rules requires --lexicon and --rules")
-        for rule_id, (fired, removed_gold) in audit_precision(rules, corpus, lexicon).items():
-            print(f"rule\t{rule_id}\tfired\t{fired}\tremoved_gold\t{removed_gold}")
+        lines += [f"rule\t{rule_id}\tfired\t{fired}\tremoved_gold\t{removed_gold}"
+                  for rule_id, (fired, removed_gold)
+                  in audit_precision(rules, corpus, lexicon).items()]
     if args.check_lexicon:
         if lexicon is None:
             raise ConfigError("--check-lexicon requires --lexicon")
         violations = audit_lexicon_exhaustiveness(corpus, lexicon)
-        print(f"lexicon_violations\t{len(violations)}")
-        for surface, tag in violations[:20]:
-            print(f"violation\t{surface}\t{tag}")
+        lines.append(f"lexicon_violations\t{len(violations)}")
+        lines += [f"violation\t{surface}\t{tag}" for surface, tag in violations[:20]]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -226,8 +226,7 @@ def build_parser():
     p.add_argument("--rules")
     p.add_argument("--rules-mode", choices=("off", "soft", "test-only"), default="off")
     p.add_argument("--lexicon-features", choices=("on", "off"), default="off")
-    p.add_argument("--candidates", choices=("all", "lexicon", "lexicon+rules"),
-                   default="all")
+    p.add_argument("--candidates", choices=CANDIDATE_SOURCES, default="all")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the model's meta only; training is deterministic")
@@ -242,8 +241,7 @@ def build_parser():
     p.add_argument("--lexicon")
     p.add_argument("--rules")
     p.add_argument("--hard-rules", choices=("on", "off"), default="off")
-    p.add_argument("--candidates", choices=("all", "lexicon", "lexicon+rules"),
-                   default="all")
+    p.add_argument("--candidates", choices=CANDIDATE_SOURCES, default="all")
     p.add_argument("--beam", type=int, default=1)
     p.set_defaults(func=_cmd_tag)
 

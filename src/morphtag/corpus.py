@@ -3,7 +3,9 @@
 Format: each non-blank line is `surface<TAB>tag` or a bare `surface`; a
 blank or whitespace-only line ends a sentence.  UTF-8, LF canonical (CRLF
 tolerated on read).  Every text format of the package breaks lines the same
-way, with `text_lines`.
+way, with `text_lines`; the three formats with "#" comments (rule files,
+grid specs and tag schemas) drop comments and blank lines the same way,
+with `content_lines`.
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ def text_lines(text: str) -> list[str]:
     if "\r" in text:
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     return lines
+
+
+def content_lines(text: str):
+    """(line number, content) for each line of a format with "#" comments:
+    a line loses everything from its first "#" on and the whitespace around
+    what is left, and a line left empty is skipped.  Lines break as in
+    `text_lines` and are numbered from 1."""
+    for lineno, raw in enumerate(text_lines(text), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def write_text(path, text: str):

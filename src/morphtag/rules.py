@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, Sentence, text_lines
+from .corpus import Corpus, Sentence, content_lines
 from .errors import DataError, FormatError
 from .lexicon import lexicon_sets
 
@@ -127,10 +127,7 @@ def parse_rules(text: str, path=None) -> RuleCascade:
     conditions: list[Condition] = []
     action = None
     patterns: tuple[str, ...] = ()
-    for lineno, raw in enumerate(text_lines(text), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split(None, 2)
         keyword = parts[0]
         if keyword == "RULE":

@@ -147,14 +147,16 @@ class Model:
     parsing float text, and `lengths` and `tag_ids` of unsigned integers of
     2 bytes when there are at most 65,535 tags and of 4 bytes otherwise; the
     width follows from `tags`.  Only nonzero cells are written, and only
-    features with one, in feature id order, which is first-seen order for a
-    trained model.  A loaded model interns `features[r]` as id r, keeps the
-    file's arrays as its averaged table, with offsets 0 followed by the
-    running sums of `lengths`, and has no raw weights; no dense table is
-    built.  So it saves the bytes it was read from, whatever order the rows
-    were written in, and decodes with the same bits in any row order: it
-    looks rows up by feature string, and an absent feature, an empty row
-    and a zero cell all add nothing to a score vector that starts at +0.0."""
+    features with one, in feature id order: for a trained model, every
+    training sentence's surface and lexicon features in corpus order, then
+    tag-context features in the order the searches first meet them.  A
+    loaded model interns `features[r]` as id r, keeps the file's arrays as
+    its averaged table, with offsets 0 followed by the running sums of
+    `lengths`, and has no raw weights; no dense table is built.  So it
+    saves the bytes it was read from, whatever order the rows were written
+    in, and decodes with the same bits in any row order: it looks rows up
+    by feature string, and an absent feature, an empty row and a zero cell
+    all add nothing to a score vector that starts at +0.0."""
 
     FORMAT_VERSION = 6
 
@@ -944,10 +946,9 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
     epoch_accuracy = []
     cfg = cfg.for_training()
 
-    # Candidate sets, suggestions and gold ids are fixed across epochs.  Each
-    # sentence's scorer is built in the first epoch, in corpus order (which
-    # fixes the feature ids), and reused after that.
-    sent_cands, sent_suggested, sent_gold = [], [], []
+    # (candidates, gold, scorer) per sentence, fixed across epochs: surface and
+    # lexicon features take their ids here, tag-context ones as searches meet them.
+    sentences = []
     for sent in corpus:
         cands, suggested = _lexicon_pass(sent, inventory, lexicon, rules, cfg,
                                          topts.candidate_source)
@@ -957,20 +958,13 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                 raise DataError(
                     f"gold tag {tok.gold_tag!r} of token {tok.surface!r} is not "
                     f"among its candidates under source {topts.candidate_source!r}")
-        sent_cands.append(cands)
-        sent_suggested.append(suggested)
-        sent_gold.append(gold)
-    scorers: list[_SentenceScorer | None] = [None] * len(corpus.sentences)
+        sentences.append((cands, gold, _SentenceScorer(model, sent.surfaces(), suggested,
+                                                       training=True)))
 
     for _ in range(topts.epochs):
         total_tokens = 0
         clean_tokens = 0
-        for i, sent in enumerate(corpus.sentences):
-            gold = sent_gold[i]
-            scorer = scorers[i]
-            if scorer is None:
-                scorer = scorers[i] = _SentenceScorer(model, sent.surfaces(), sent_suggested[i],
-                                                      training=True)
+        for cands, gold, scorer in sentences:
             dirty: set[int] = set()  # positions that triggered an update
             guard = 0
             guard_limit = 50 + 10 * len(gold)
@@ -993,14 +987,14 @@ def train(corpus: Corpus, lexicon: Lexicon | None = None,
                     raise ConfigError(diverged)
                 weights.update(fids, gold[p], c, tau)
                 # The update changed only columns gold[p] and c.
-                _refresh(scorer, cache, sent_cands[i], gold[p], c)
+                _refresh(scorer, cache, cands, gold[p], c)
                 return None
 
             # Updates change the table between searches, so each search
             # gets fresh static sums; releasing them keeps memory flat.
             scorer.static_sums = [scorer.score_vector(ids) for ids in scorer.static_ids]
             try:
-                _search(scorer, sent_cands[i], 1, choose)
+                _search(scorer, cands, 1, choose)
             except FloatingPointError:
                 raise ConfigError(diverged) from None
             scorer.static_sums = None

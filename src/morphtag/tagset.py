@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import text_lines
+from .corpus import content_lines
 from .errors import FormatError, SchemaError
 
 
@@ -128,10 +128,7 @@ def parse_schema(text: str, path=None) -> TagSchema:
     """
     classes: dict[str, ClassLayout] = {}
     punct: str | None = None
-    for lineno, raw in enumerate(text_lines(text), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "punct":
             if len(parts) != 2 or len(parts[1]) != 1:

@@ -130,6 +130,8 @@ LINE_RULE_FORMATS = {
     "spec": (parse_spec, "train=a.tsv\ntest=b.tsv\nseed=1\n", "seed=1\x0ctrain=a.tsv\ntest=b.tsv\n"),
     "schema": (parse_schema, "punct U\nA *\n", "punct U\x0cA *\n"),
 }
+# The formats with "#" comments, which all read them through content_lines.
+COMMENT_FORMATS = ("rules", "spec", "schema")
 
 
 class TestLineRule:
@@ -152,6 +154,21 @@ class TestLineRule:
         with pytest.raises(FormatError) as exc:
             parse(text, path="f")
         assert exc.value.line == 1 and str(exc.value).startswith("f:1: ")
+
+    @pytest.mark.parametrize("name", COMMENT_FORMATS)
+    def test_comments_read_as_nothing(self, name):
+        """A trailing comment, a comment-only line and a blank line add
+        nothing, and a later line keeps its number in an error."""
+        parse, text, _ = LINE_RULE_FORMATS[name]
+        lines = text.splitlines()
+        commented = "# head\n\n" + "".join(f"{line}  # note # two\n  # own line\n"
+                                           for line in lines)
+        assert parse(commented, path="f") == parse(text, path="f")
+        with pytest.raises(FormatError) as exc:
+            parse(commented + "bogus  # a later error\n", path="f")
+        line = 3 + 2 * len(lines)
+        assert exc.value.line == line and str(exc.value).startswith(f"f:{line}: ")
+        assert str(exc.value).endswith("'bogus'")
 
 
 class TestWriteVertical:

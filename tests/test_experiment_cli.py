@@ -627,6 +627,17 @@ class TestCliExperiment:
             "error: row 2: hard output rules need a lexicon"]
         assert not out.exists()
 
+    def test_hard_rules_need_a_rules_file(self, dataset, tmp_path, capsys):
+        spec = tmp_path / "grid.spec"
+        spec.write_text("train=train.tsv\ntest=test.tsv\nlexicon=lex.tsv\nepochs=1\n"
+                        "row: id=1 hard_rules=on\n")
+        out = tmp_path / "results.tsv"
+        assert main(["experiment", "--spec", str(spec), "--base-dir", str(dataset),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: row 1: row uses hard rules but no rules file is given"]
+        assert not out.exists()
+
 
 class TestCliLemmatize:
     def test_check_and_dump(self, tmp_path, capsys):
@@ -643,8 +654,11 @@ class TestCliLemmatize:
         # own lemma needs the empty rewrite.
         lex = tmp_path / "lex.tsv"
         lex.write_text("b\tX\tc\nab\tX\tab\n")
-        assert main(["lemmatize", "--lexicon", str(lex), "--check"]) == 4
+        dump = tmp_path / "rules.tsv"
+        assert main(["lemmatize", "--lexicon", str(lex), "--check",
+                     "--dump-rules", str(dump)]) == 4
         assert capsys.readouterr().out == "round-trip: 1/2 correct\n"
+        assert not dump.exists()
 
     def test_apply_to_corpus(self, tmp_path):
         lex = tmp_path / "lex.tsv"
@@ -662,12 +676,23 @@ class TestCliLemmatize:
         lex.write_text("четох\tV1\tчета\n")
         inp = tmp_path / "in.tsv"
         inp.write_text("плетох\tV1\nчетох\n")
-        out = tmp_path / "out.tsv"
-        assert main(["lemmatize", "--lexicon", str(lex),
-                     "--input", str(inp), "--output", str(out)]) == 2
+        out, dump = tmp_path / "out.tsv", tmp_path / "rules.tsv"
+        assert main(["lemmatize", "--lexicon", str(lex), "--input", str(inp),
+                     "--output", str(out), "--dump-rules", str(dump)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: token 'четох' has no tag to lemmatize with"]
         assert not out.exists()
+        assert not dump.exists()
+
+    def test_missing_input_writes_no_rules(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("четох\tV1\tчета\n")
+        out, dump = tmp_path / "out.tsv", tmp_path / "rules.tsv"
+        assert main(["lemmatize", "--lexicon", str(lex), "--input", str(tmp_path / "no.tsv"),
+                     "--output", str(out), "--dump-rules", str(dump)]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+        assert not dump.exists()
 
     def test_input_needs_output(self, tmp_path):
         lex = tmp_path / "lex.tsv"
@@ -694,9 +719,10 @@ class TestCliStats:
         assert "sentences\t32" in out
         assert "ambiguous_fraction" in out
 
-    def test_ambiguity_needs_lexicon(self, dataset):
+    def test_ambiguity_needs_lexicon(self, dataset, capsys):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),
                      "--ambiguity"]) == 3
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags, message", [
         (["--audit-rules", "--lexicon", "L"], "--audit-rules requires --lexicon and --rules"),
@@ -705,15 +731,19 @@ class TestCliStats:
     def test_audit_needs_its_inputs(self, flags, message, dataset, capsys):
         flags = [str(dataset / "lex.tsv") if f == "L" else f for f in flags]
         assert main(["stats", "--corpus", str(dataset / "train.tsv"), *flags]) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("punct_class", ["", "u"])
     def test_punct_class_is_one_class_letter(self, punct_class, dataset, capsys):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),
                      "--lexicon", str(dataset / "lex.tsv"), "--ambiguity",
                      "--punct-class", punct_class]) == 3
-        assert capsys.readouterr().err == (f"error: the punctuation class must be one "
-                                           f"uppercase letter, not {punct_class!r}\n")
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: the punctuation class must be one "
+                                f"uppercase letter, not {punct_class!r}\n")
+        assert captured.out == ""
 
     def test_check_lexicon(self, dataset, capsys):
         assert main(["stats", "--corpus", str(dataset / "train.tsv"),

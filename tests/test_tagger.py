@@ -1153,8 +1153,10 @@ class TestGolden:
     memory (features, raw and averaged rows, which the file does not all
     carry).  `ORDERS` pins (tags, commit order) alone at both beams, which
     holds even when the low bits of the averaged weights, and so the
-    scores, move.  Refactors of the search, the scorer or the update must
-    leave these hashes unchanged.  Decoding through the reloaded file must
+    scores, move.  The file and model digests also pin the order in which
+    training numbers the features, which decoding never reads.  Refactors
+    of the search, the scorer or the update must leave these hashes
+    unchanged.  Decoding through the reloaded file must
     give the same decode hashes as the model in memory.
 
     "lexicon-oov" drops every third word from the lexicon, so sentences mix
@@ -1168,30 +1170,30 @@ class TestGolden:
 
     CASES = {
         "all": ("all", False, (
-            "fa5085aceb0987d1642e3ac7c840320ceb45d89ae741ea180085969e508bcda4",
+            "0987b1d5e282b0a4bf12990397e6b97812c5f8a87a4af3960550d6cf9b11b43c",
             "d3720ef6ae562b0ebfc107462eeebd93fe045728fe9463d68ad92ada1520f5bd",
             "bcfa13a2986ae8f252280f339c6b5d2532d5e1d6b9df8038ec761b0ba03a08f9",
-            "e0c61848ba1060a446d022618282624dad896a9e8306345d111fc9f04630a738")),
+            "eb6f1cf83e9106bae401a2f0591bc19563c575d899c4774b9189a2e875abbdf5")),
         "lexicon+rules": ("lexicon+rules", True, (
-            "ac379fc4cc9132f0615b88aee826d679d959a341491266a6f91ef1ff715ba226",
+            "3dc0326a2fa9a3f76853e6a6c55c1bd89538e8b4d309190fa8dd34afcae74dba",
             "b7f5600192f7527ed985f6857706d548877d322a3aeee4e1f8149f2aa5098fab",
             "cb0e289c8e59d3dcaae3029cfabaf587ba4b80fa64d90c725f6917ed61a29d7c",
-            "a8a1f1b8fa812ac8758df593d44226b0787ccd65ba0da38d939628e051639e48")),
+            "f0997a9639062e67f0ede1a0874d8314643cb0095bd39387d87f9f6e2d62150d")),
         "lexicon-oov": ("lexicon", False, (
-            "0e9712ac64d5b5b3af0562f21b3ca18ca23b33895138253cffaf5264fa8b143e",
+            "ee6fb399e9ece5bb76606387aa2dc2068fbae104094dde75df867aec138850b5",
             "fd521ba3b49f788453485b7636555689cbf074d4c194646aa6b1c4aac2855771",
             "b5407214630ab589336a6b95039e7f64e8689122db7b3b8a525f78d10ffb50b5",
-            "b93175eb06d17e71376e4af8addace0d7a61c1111a1d5622456b228e3405bef2")),
+            "072f87b811eb4970ce4bc20e88f20e4f66e1d9ee020c2645587b1325b725497c")),
         "all-ties": ("all", False, (
             "7ae8181f6cb0875153fff44276914ec336f576a14f38dc779dcaa82aaf1e0a8e",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
             "9e8d73a8c50349cc35579553a2457234357459770ca4989d14941041a96824e5",
-            "3dca448ef5d1db430257e8f5c6468b6b78a20cb4b7991666aecfc51e22014cf2")),
+            "8316d0d1b8b51eee054ea8cea0f36ac1b3aa045290023172b39c8685691cb23a")),
         "hard-rules-prefix": ("lexicon", True, (
-            "1077b20ff93576a35bf61f8b4eb54ed46ac8f6bcd65cd4741c3d2b716e049488",
+            "b5946fa06e8df37327621f5d447480f0cb0eae75531585e81aeb61d51719cfff",
             "33486bdaa87a29049d90402ed957bbf037aff5862e9a5341d77cf36075a4d98e",
             "db5af6728e7859913e13542c9ded2d04a31adb397b1e94dbbfbb96f3d2a6f4b4",
-            "439a139f995743270889bca133261f14a8419999fc63ed6a9f3e6c0df84a7802")),
+            "c3031882595d347953c96b77e1a410a984327a652fc8ba9a83ff4660c2bec6e3")),
     }
 
     # sha256 of (tags, commit order) at beams 1 and 3, with no scores in it:
